@@ -9,12 +9,10 @@ __version__ = "0.1.0"
 
 from .dataset import (  # noqa: F401
     Normalizer,
-    RawWindows,
     WindowConfig,
     WindowedDataset,
     build_windows,
     chronological_split,
-    fit_normalizer,
 )
 from .errors import LoadcastError  # noqa: F401
 from .evaluation import (  # noqa: F401
@@ -34,12 +32,13 @@ from .features import (  # noqa: F401
 )
 from .ingest import (  # noqa: F401
     AlignedSeries,
-    HourStamp,
     LoadSeries,
     WeatherSample,
     align,
     combine_wind,
+    format_hour,
     load_and_align,
+    parse_hour,
     parse_load_csv,
     parse_weather_csv,
     read_aligned_csv,

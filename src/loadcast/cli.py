@@ -9,55 +9,40 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .dataset import WindowConfig, build_windows, chronological_split
+import numpy as np
+
+from .dataset import (
+    DEFAULT_FRACTIONS,
+    SPLITS,
+    WindowConfig,
+    build_windows,
+    check_fractions,
+    chronological_split,
+)
 from .errors import ConfigError, LoadcastError
 from .evaluation import emit_plot_data, evaluate
 from .experiments import builtin_grids, grid_from_config, run_grid
 from .features import FeatureSelector, all_features, assemble
-from .ingest import (
-    HourStamp,
-    hour_delta,
-    load_and_align,
-    read_aligned_csv,
-    write_aligned_csv,
-)
+from .ingest import format_hour, load_and_align, parse_hour, read_aligned_csv, write_aligned_csv
 from .models import ModelSpec, load as load_model, predict_at, save as save_model, train
 from .synthetic import generate_synthetic
 
+#: ModelSpec fields that the run config lists under "training"; the rest go under "model"
+_TRAINING_KEYS = ("epochs", "batch_size", "patience", "base_lr", "lr_decay", "seed")
+_SPEC_DEFAULTS = ModelSpec(kind="lstm").to_dict()
+
 _CONFIG_DEFAULTS = {
     "data": {"aligned": None, "load": None, "weather": None},
-    "window": {"t1": 6, "t2": 4},
+    "window": dataclasses.asdict(WindowConfig()),
     "features": all_features().to_dict(),
-    "model": {
-        "kind": "lstm",
-        "fcnn_hidden": [128, 128, 64],
-        "lstm_hidden": 64,
-        "lstm_layers": 2,
-        "conv_filters": 32,
-        "conv_kernel": 3,
-        "conv_layers": 1,
-        "dense_size": 128,
-        "dropout": 0.2,
-        "width_multiplier": 1,
-        "svr_mode": "epsilon",
-        "svr_epsilon": 0.01,
-        "svr_c": 1.0,
-        "svr_lambda": 1e-6,
-        "svr_max_iter": 20000,
-    },
-    "training": {
-        "epochs": 200,
-        "batch_size": 256,
-        "patience": 10,
-        "base_lr": 1e-3,
-        "lr_decay": 0.96,
-        "seed": 0,
-    },
-    "split": {"train": 0.45, "val": 0.45, "test": 0.10},
+    "model": {k: v for k, v in _SPEC_DEFAULTS.items() if k not in _TRAINING_KEYS},
+    "training": {k: _SPEC_DEFAULTS[k] for k in _TRAINING_KEYS},
+    "split": dict(zip(SPLITS, DEFAULT_FRACTIONS)),
     "output": "out",
 }
 
@@ -93,15 +78,11 @@ def _build_run(resolved: dict):
     """Validate a resolved config into (window, selector, spec, fractions)."""
     try:
         window = WindowConfig(**resolved["window"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"window: {exc}") from None
-    try:
         selector = FeatureSelector.from_dict(resolved["features"])
-    except ValueError as exc:
-        raise ConfigError(f"features: {exc}") from None
+        fractions = check_fractions([resolved["split"][s] for s in SPLITS])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
     spec = ModelSpec.from_dict({**resolved["model"], **resolved["training"]})
-    split = resolved["split"]
-    fractions = (split["train"], split["val"], split["test"])
     return window, selector, spec, fractions
 
 
@@ -114,13 +95,10 @@ def _load_series(data: dict):
 
 
 def _parse_fractions(text: str) -> tuple[float, float, float]:
-    parts = [p for p in text.split(",") if p]
-    if len(parts) != 3:
-        raise ConfigError(f"expected 3 comma-separated fractions, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"bad fraction in {text!r}") from None
+        return check_fractions([float(p) for p in text.split(",") if p])
+    except ValueError as exc:
+        raise ConfigError(f"--fractions {text!r}: {exc}") from None
 
 
 def cmd_ingest(args) -> int:
@@ -129,9 +107,8 @@ def cmd_ingest(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "aligned.csv"
     write_aligned_csv(series, out_path)
-    gap_hours = 0
-    for (s0, l0), (s1, _) in zip(series.segments, series.segments[1:]):
-        gap_hours += hour_delta(series.stamps[s0 + l0 - 1], series.stamps[s1]) - 1
+    span_hours = int((series.stamps[-1] - series.stamps[0]).astype(np.int64)) + 1
+    gap_hours = span_hours - len(series)
     print(f"wrote {out_path}")
     print(f"rows={len(series)} segments={len(series.segments)} gap_hours={gap_hours}")
     return 0
@@ -201,12 +178,13 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     series = read_aligned_csv(args.aligned_csv)
     try:
-        at = HourStamp.parse(args.at)
+        at = parse_hour(args.at)
     except ValueError as exc:
         raise ConfigError(f"--at: {exc}") from None
     forecast = predict_at(model, series, at)
-    for h, value in enumerate(forecast, start=1):
-        print(f"{at.add_hours(h).isoformat()} {value:.3f}")
+    hours = format_hour(at + np.arange(1, len(forecast) + 1))
+    for hour, value in zip(hours, forecast):
+        print(f"{hour} {value:.3f}")
     return 0
 
 
@@ -223,7 +201,6 @@ def _resolve_grid(name_or_path: str):
 
 
 def _run_grid_cmd(grid, args) -> int:
-    import dataclasses
     if args.seeds is not None:
         try:
             seeds = tuple(int(s) for s in args.seeds.split(",") if s)

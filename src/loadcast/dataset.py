@@ -3,14 +3,15 @@ normalization fitted on the train split only."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySplit, EmptyTrainSplit, MissingLoadChannel, NotFitted, TooFewSamples
+from .errors import EmptyTrainSplit, MissingLoadChannel, NotFitted, TooFewSamples
 from .features import FeatureMatrix
-from .ingest import HourStamp
+from .ingest import HOUR_DTYPE
 
 DEFAULT_FRACTIONS = (0.45, 0.45, 0.10)
 SPLITS = ("train", "val", "test")
@@ -24,8 +25,9 @@ class WindowConfig:
     t2: int = 4
 
     def __post_init__(self):
-        if self.t1 < 1 or self.t2 < 1:
-            raise ValueError("t1 and t2 must be >= 1")
+        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
+                   for v in (self.t1, self.t2)):
+            raise ValueError(f"t1 and t2 must be integers >= 1, got {self.t1!r}, {self.t2!r}")
 
     @property
     def span(self) -> int:
@@ -33,71 +35,23 @@ class WindowConfig:
 
 
 @dataclass(frozen=True)
-class RawWindows:
-    """Every admissible stride-1 window, in chronological order, raw units."""
+class WindowedDataset:
+    """Every admissible stride-1 window, in chronological order, raw units,
+    plus a chronological train/val/test assignment.
+
+    `build_windows` leaves the assignment empty (n_train = n_val = 0);
+    `chronological_split` fills it in.
+    """
 
     inputs: np.ndarray   # (n, t1, channels)
     targets: np.ndarray  # (n, t2) load in MW
-    origins: tuple[HourStamp, ...]
+    origins: np.ndarray  # (n,) datetime64[h], first hour of each window
     channel_names: tuple[str, ...]
     load_channel: int
     cfg: WindowConfig
-
-    def __len__(self) -> int:
-        return len(self.origins)
-
-
-def build_windows(matrix: FeatureMatrix, segments, stamps, cfg: WindowConfig) -> RawWindows:
-    """Cut overlapping (t1+t2)-hour windows that lie inside one segment each.
-
-    A segment of length L yields max(0, L - (t1+t2) + 1) samples; windows never
-    straddle a gap. Targets are the raw load channel of the last t2 hours.
-    """
-    if matrix.load_channel is None:
-        raise MissingLoadChannel("selector excluded load; targets are undefined")
-    span = cfg.span
-    inputs: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    origins: list[HourStamp] = []
-    values = matrix.values
-    load = values[:, matrix.load_channel]
-    for start, length in segments:
-        count = length - span + 1
-        if count <= 0:
-            continue
-        block = values[start:start + length]
-        windows = np.lib.stride_tricks.sliding_window_view(block, span, axis=0)
-        # sliding_window_view puts the window axis last: (count, channels, span)
-        windows = windows.transpose(0, 2, 1)
-        inputs.append(windows[:, :cfg.t1, :])
-        tgt = np.lib.stride_tricks.sliding_window_view(load[start:start + length], span)
-        targets.append(tgt[:, cfg.t1:])
-        origins.extend(stamps[start + i] for i in range(count))
-    if inputs:
-        inp = np.ascontiguousarray(np.concatenate(inputs, axis=0))
-        tgt = np.ascontiguousarray(np.concatenate(targets, axis=0))
-    else:
-        inp = np.empty((0, cfg.t1, values.shape[1]))
-        tgt = np.empty((0, cfg.t2))
-    inp.setflags(write=False)
-    tgt.setflags(write=False)
-    return RawWindows(inp, tgt, tuple(origins), matrix.channel_names,
-                      matrix.load_channel, cfg)
-
-
-@dataclass(frozen=True)
-class WindowedDataset:
-    """RawWindows plus a chronological train/val/test assignment."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-    origins: tuple[HourStamp, ...]
-    channel_names: tuple[str, ...]
-    load_channel: int
-    cfg: WindowConfig
-    fractions: tuple[float, float, float]
-    n_train: int
-    n_val: int
+    fractions: tuple[float, float, float] | None = None
+    n_train: int = 0
+    n_val: int = 0
 
     def __len__(self) -> int:
         return len(self.origins)
@@ -119,33 +73,79 @@ class WindowedDataset:
         sl = self.split_slice(split)
         return self.inputs[sl], self.targets[sl]
 
-    def split_origins(self, split: str) -> tuple[HourStamp, ...]:
+    def split_origins(self, split: str) -> np.ndarray:
         sl = self.split_slice(split)
         return self.origins[sl]
 
 
-def chronological_split(raw: RawWindows,
+def build_windows(matrix: FeatureMatrix, segments, stamps, cfg: WindowConfig) -> WindowedDataset:
+    """Cut overlapping (t1+t2)-hour windows that lie inside one segment each.
+
+    A segment of length L yields max(0, L - (t1+t2) + 1) samples; windows never
+    straddle a gap. Targets are the raw load channel of the last t2 hours.
+    Segments in ascending order give windows in chronological order.
+    """
+    if matrix.load_channel is None:
+        raise MissingLoadChannel("selector excluded load; targets are undefined")
+    span = cfg.span
+    inputs: list[np.ndarray] = []
+    targets: list[np.ndarray] = []
+    origins: list[np.ndarray] = []
+    values = matrix.values
+    load = values[:, matrix.load_channel]
+    stamps = np.asarray(stamps, dtype=HOUR_DTYPE)
+    for start, length in segments:
+        count = length - span + 1
+        if count <= 0:
+            continue
+        block = values[start:start + length]
+        windows = np.lib.stride_tricks.sliding_window_view(block, span, axis=0)
+        # sliding_window_view puts the window axis last: (count, channels, span)
+        windows = windows.transpose(0, 2, 1)
+        inputs.append(windows[:, :cfg.t1, :])
+        tgt = np.lib.stride_tricks.sliding_window_view(load[start:start + length], span)
+        targets.append(tgt[:, cfg.t1:])
+        origins.append(stamps[start:start + count])
+    if inputs:
+        inp = np.ascontiguousarray(np.concatenate(inputs, axis=0))
+        tgt = np.ascontiguousarray(np.concatenate(targets, axis=0))
+        org = np.concatenate(origins)
+    else:
+        inp = np.empty((0, cfg.t1, values.shape[1]))
+        tgt = np.empty((0, cfg.t2))
+        org = np.empty(0, dtype=HOUR_DTYPE)
+    for array in (inp, tgt, org):
+        array.setflags(write=False)
+    return WindowedDataset(inp, tgt, org, matrix.channel_names, matrix.load_channel, cfg)
+
+
+def check_fractions(fractions) -> tuple[float, float, float]:
+    """Validate (train, val, test) fractions: 3 positive numbers summing to 1."""
+    if not (isinstance(fractions, (list, tuple)) and len(fractions) == 3 and all(
+            isinstance(f, (int, float)) and not isinstance(f, bool) and f > 0
+            for f in fractions)):
+        raise ValueError(f"fractions must be 3 positive numbers, got {fractions!r}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
+    return tuple(fractions)
+
+
+def chronological_split(raw: WindowedDataset,
                         fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
                         ) -> WindowedDataset:
     """Assign the earliest floor(f1*n) samples to train, next floor(f2*n) to
-    validation, and the remainder to test."""
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise ValueError("fractions must be 3 positive numbers")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
+    validation, and the remainder to test.
+
+    Windows must already be in chronological order, as `build_windows` emits
+    them; the arrays are shared, not copied.
+    """
+    fractions = check_fractions(fractions)
     n = len(raw)
     if n < 3:
         raise TooFewSamples(f"need at least 3 windows, got {n}")
-    order = sorted(range(n), key=lambda i: raw.origins[i])
-    inputs = raw.inputs[order]
-    targets = raw.targets[order]
-    origins = tuple(raw.origins[i] for i in order)
-    n_train = math.floor(fractions[0] * n)
-    n_val = math.floor(fractions[1] * n)
-    inputs.setflags(write=False)
-    targets.setflags(write=False)
-    return WindowedDataset(inputs, targets, origins, raw.channel_names,
-                           raw.load_channel, raw.cfg, tuple(fractions), n_train, n_val)
+    return dataclasses.replace(raw, fractions=fractions,
+                               n_train=math.floor(fractions[0] * n),
+                               n_val=math.floor(fractions[1] * n))
 
 
 @dataclass(frozen=True)
@@ -215,13 +215,3 @@ class Normalizer:
             float(doc["target_min"]),
             float(doc["target_max"]),
         )
-
-
-def fit_normalizer(dataset: WindowedDataset) -> Normalizer:
-    return Normalizer.fit(dataset)
-
-
-def require_split_nonempty(dataset: WindowedDataset, split: str) -> None:
-    sl = dataset.split_slice(split)
-    if sl.stop - sl.start <= 0:
-        raise EmptySplit(f"{split} split is empty")

@@ -163,7 +163,6 @@ def evaluate(model: TrainedModel, dataset: WindowedDataset, split: str) -> Evalu
     ape = absolute_percentage_errors(flat_pred, flat_actual)
     degenerate = flat_actual.size < 2 or bool(np.all(flat_actual == flat_actual[0]))
     r2 = None if degenerate else r_squared(flat_pred, flat_actual)
-    per_point = {float(t): float(np.mean(ape <= t)) for t in TOLERANCE_THRESHOLDS}
     sample_ape = ape.reshape(targets.shape)
     per_sample = {float(t): float(np.mean(np.all(sample_ape <= t, axis=1)))
                   for t in TOLERANCE_THRESHOLDS}
@@ -176,7 +175,7 @@ def evaluate(model: TrainedModel, dataset: WindowedDataset, split: str) -> Evalu
         mape_pct=mape(flat_pred, flat_actual),
         r2=r2,
         degenerate_actual=degenerate,
-        tolerance=per_point,
+        tolerance=tolerance_accuracy(flat_pred, flat_actual),
         tolerance_per_sample=per_sample,
         ape_pct=ape,
         predicted=flat_pred,

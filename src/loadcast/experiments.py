@@ -25,7 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import DEFAULT_FRACTIONS, WindowConfig, build_windows, chronological_split
+from .dataset import (
+    DEFAULT_FRACTIONS,
+    WindowConfig,
+    build_windows,
+    check_fractions,
+    chronological_split,
+)
 from .errors import DatasetTooSmall, InvalidConfig, LoadcastError, MissingRows
 from .evaluation import TOLERANCE_THRESHOLDS, EvaluationReport, evaluate
 from .features import (
@@ -36,7 +42,7 @@ from .features import (
     assemble,
 )
 from .ingest import AlignedSeries
-from .models import ModelSpec, save as save_model, train
+from .models import ModelSpec, load as load_model, save as save_model, train
 
 DEFAULT_SEEDS = (0, 1, 2)
 TABLE_STYLES = ("table1", "table2", "table5")
@@ -82,14 +88,18 @@ class ExperimentGrid:
 
 def grid_from_config(doc: dict) -> ExperimentGrid:
     """Build a grid from a parsed JSON document; unknown keys are rejected."""
+    if not isinstance(doc, dict):
+        raise InvalidConfig("grid config must be a JSON object")
     known = {"name", "style", "window", "split", "split_mode", "seeds", "rows"}
     unknown = set(doc) - known
     if unknown:
         raise InvalidConfig(f"unknown grid keys: {sorted(unknown)}")
-    if "rows" not in doc or not doc["rows"]:
+    if not isinstance(doc.get("rows"), list) or not doc["rows"]:
         raise InvalidConfig("grid config needs a non-empty 'rows' list")
     rows = []
     for entry in doc["rows"]:
+        if not isinstance(entry, dict) or not {"name", "model"} <= set(entry):
+            raise InvalidConfig(f"grid row needs 'name' and 'model': {entry!r}")
         extra = set(entry) - {"name", "features", "model"}
         if extra:
             raise InvalidConfig(f"unknown row keys: {sorted(extra)}")
@@ -101,13 +111,14 @@ def grid_from_config(doc: dict) -> ExperimentGrid:
         rows.append(GridRow(entry["name"], selector, spec))
     try:
         window = WindowConfig(**doc.get("window", {}))
+        fractions = check_fractions(doc.get("split", DEFAULT_FRACTIONS))
     except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"window: {exc}") from None
-    fractions = tuple(doc.get("split", DEFAULT_FRACTIONS))
-    if len(fractions) != 3 or any(f <= 0 for f in fractions) \
-            or abs(sum(fractions) - 1.0) > 1e-9:
-        raise InvalidConfig(f"split must be 3 positive fractions summing to 1, got {fractions}")
-    seeds = tuple(doc.get("seeds", DEFAULT_SEEDS))
+        raise InvalidConfig(str(exc)) from None
+    seeds = doc.get("seeds", DEFAULT_SEEDS)
+    if not (isinstance(seeds, (list, tuple)) and all(
+            isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
+        raise InvalidConfig(f"seeds must be a list of integers, got {seeds!r}")
+    seeds = tuple(seeds)
     return ExperimentGrid(doc.get("name", "custom"), tuple(rows), window,
                           fractions, seeds, doc.get("style", "table2"))
 
@@ -249,27 +260,27 @@ def _run_one(grid: ExperimentGrid, row: GridRow, seed: int, series: AlignedSerie
     row_dir = out_dir / "rows" / row.name / f"seed{seed}"
     model_path = row_dir / "model.lcst"
     report_path = row_dir / "report.json"
-    if model_path.exists() and report_path.exists():
-        try:
-            from .models import load as load_model
-            saved = load_model(model_path)  # checksum + structure check
-            report = EvaluationReport.load_json(report_path)
-            expected_spec = dataclasses.replace(row.spec, seed=seed)
-            if (saved.spec == expected_spec and saved.selector == row.selector
-                    and report.selector == row.selector):
-                return _result_from_report(row.name, seed, report)
-        except (LoadcastError, ValueError, KeyError, json.JSONDecodeError):
-            pass  # invalid leftovers; retrain below
+    spec = dataclasses.replace(row.spec, seed=seed)
     try:
         matrix = assemble(series, row.selector)
         raw = build_windows(matrix, series.segments, series.stamps, grid.window)
         ds = chronological_split(raw, grid.fractions)
-        spec = dataclasses.replace(row.spec, seed=seed)
-        model = train(ds, spec, row.selector)
-        report = evaluate(model, ds, "test")
-        row_dir.mkdir(parents=True, exist_ok=True)
-        save_model(model, model_path)
-        report.save_json(report_path)
+        reusable = False  # artifacts an earlier run of this same job left behind
+        if model_path.exists() and report_path.exists():
+            try:
+                saved = load_model(model_path)  # checksum + structure check
+                report = EvaluationReport.load_json(report_path)
+                reusable = (saved.spec == spec and saved.selector == row.selector
+                            == report.selector and saved.window == grid.window
+                            and report.n_samples == ds.n_test)
+            except (LoadcastError, ValueError, KeyError):
+                pass  # invalid leftovers; retrain
+        if not reusable:
+            model = train(ds, spec, row.selector)
+            report = evaluate(model, ds, "test")
+            row_dir.mkdir(parents=True, exist_ok=True)
+            save_model(model, model_path)
+            report.save_json(report_path)
         return _result_from_report(row.name, seed, report)
     except Exception as exc:  # record per-row failures, keep the run alive
         return RowSeedResult(row.name, seed, error=f"{type(exc).__name__}: {exc}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySelector
-from .ingest import N_ZONES, ZONE_VARS, AlignedSeries, HourStamp
+from .ingest import HOUR_DTYPE, N_ZONES, ZONE_VARS, AlignedSeries
 
 TIME_FEATURES = ("hour", "day_of_week", "month")
 WEATHER_FEATURES = ("temp", "swrad", "lwrad", "wind")
@@ -89,14 +89,22 @@ class FeatureSelector:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureSelector":
+        if not isinstance(doc, dict):
+            raise ValueError(f"feature selector must be an object, got {doc!r}")
         known = {"include_load", "time_features", "weather_features", "zones", "time_encoding"}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown FeatureSelector keys: {sorted(unknown)}")
+        if not isinstance(doc.get("include_load", True), bool):
+            raise ValueError(f"include_load must be true or false, got {doc['include_load']!r}")
         kwargs = dict(doc)
-        for key in ("time_features", "weather_features", "zones"):
+        for key, item in (("time_features", str), ("weather_features", str), ("zones", int)):
             if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+                value = kwargs[key]
+                if not (isinstance(value, (list, tuple)) and all(
+                        isinstance(v, item) and not isinstance(v, bool) for v in value)):
+                    raise ValueError(f"{key} must be a list of {item.__name__}, got {value!r}")
+                kwargs[key] = tuple(value)
         return cls(**kwargs)
 
 
@@ -109,26 +117,33 @@ def all_features(time_encoding: str = "scalar") -> FeatureSelector:
     )
 
 
-def encode_time(stamp: HourStamp, which: str, encoding: str = "scalar") -> tuple[float, ...]:
-    """Encode one time feature of a stamp as 1 (scalar) or 2 (cyclical) values.
+def encode_time(stamps, which: str, encoding: str = "scalar") -> np.ndarray:
+    """Encode one time feature of each hour as 1 (scalar) or 2 (cyclical) values.
 
-    Scalar maps onto [0, 1]: hour/23, day_of_week/6 (Monday=0), (month-1)/11.
-    Cyclical returns (sin 2*pi*x, cos 2*pi*x) with x = hour/24, dow/7,
-    (month-1)/12.
+    `stamps` is a datetime64[h] hour or array of hours; the result has one
+    more axis, of length 1 or 2. Scalar maps onto [0, 1]: hour/23,
+    day_of_week/6 (Monday=0), (month-1)/11. Cyclical returns
+    (sin 2*pi*x, cos 2*pi*x) with x = hour/24, dow/7, (month-1)/12.
     """
+    stamps = np.asarray(stamps, dtype=HOUR_DTYPE)
+    hours = stamps.astype(np.int64)
     if which == "hour":
-        value, span, period = float(stamp.hour), 23.0, 24.0
+        value, span, period = hours % 24, 23.0, 24
     elif which == "day_of_week":
-        value, span, period = float(stamp.day_of_week()), 6.0, 7.0
+        # 1970-01-01, day 0 of the epoch, was a Thursday (3)
+        value, span, period = (hours // 24 + 3) % 7, 6.0, 7
     elif which == "month":
-        value, span, period = float(stamp.month - 1), 11.0, 12.0
+        value, span, period = stamps.astype("datetime64[M]").astype(np.int64) % 12, 11.0, 12
     else:
         raise ValueError(f"unknown time feature {which!r}")
     if encoding == "scalar":
-        return (value / span,)
+        return (value / span)[..., None]
     if encoding == "cyclical":
-        x = value / period
-        return (math.sin(2.0 * math.pi * x), math.cos(2.0 * math.pi * x))
+        # math.sin/cos once per distinct value: numpy's vector kernels may
+        # differ from them in the last bit, which would change stored features
+        table = np.array([(math.sin(2.0 * math.pi * (k / period)),
+                           math.cos(2.0 * math.pi * (k / period))) for k in range(period)])
+        return table[value]
     raise ValueError(f"unknown encoding {encoding!r}")
 
 
@@ -152,11 +167,7 @@ def assemble(series: AlignedSeries, selector: FeatureSelector) -> FeatureMatrix:
         load_channel = 0
         columns.append(np.asarray(series.load_mw, dtype=np.float64))
     for t in selector.time_features:
-        encoded = np.array(
-            [encode_time(s, t, selector.time_encoding) for s in series.stamps],
-            dtype=np.float64,
-        ).reshape(n, selector.values_per_time_feature)
-        columns.extend(encoded[:, j] for j in range(encoded.shape[1]))
+        columns.extend(encode_time(series.stamps, t, selector.time_encoding).T)
     for w in selector.weather_features:
         col = _ZONE_COL[w]
         for z in selector.zones:

@@ -1,8 +1,11 @@
 """Load/weather CSV parsing, timezone reconciliation, and hourly alignment.
 
 Timestamps live in fixed-offset Central Standard Time (UTC-6, no DST), so
-hours stay bijective across the UTC conversion. Gaps are recorded and split
-the aligned series into contiguous segments; they are never interpolated.
+hours stay bijective across the UTC conversion. In memory a timeline is a
+`numpy.datetime64[h]` array (whole hours since the epoch); `parse_hour` and
+`format_hour` convert to and from the `YYYY-MM-DDTHH:00:00` text of the files.
+Gaps are recorded and split the aligned series into contiguous segments; they
+are never interpolated.
 """
 
 from __future__ import annotations
@@ -10,8 +13,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass
-from datetime import datetime, timedelta
+from dataclasses import dataclass, field
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ from .errors import (
 
 N_ZONES = 8
 CST_OFFSET_HOURS = 6
+HOUR_DTYPE = "datetime64[h]"
 
 #: variable order of the per-zone columns, both in memory and in aligned.csv
 ZONE_VARS = ("temp", "wind", "lwrad", "swrad")
@@ -39,54 +43,30 @@ WEATHER_HEADER = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class HourStamp:
-    """A whole hour in a fixed-offset timeline (minutes/seconds always zero)."""
+def parse_hour(text: str) -> np.datetime64:
+    """Parse `YYYY-MM-DDTHH:00:00` into a datetime64[h] hour.
 
-    year: int
-    month: int
-    day: int
-    hour: int
-
-    def __post_init__(self):
-        datetime(self.year, self.month, self.day, self.hour)  # range check
-
-    def add_hours(self, n: int) -> "HourStamp":
-        dt = datetime(self.year, self.month, self.day, self.hour) + timedelta(hours=n)
-        return HourStamp(dt.year, dt.month, dt.day, dt.hour)
-
-    def day_of_week(self) -> int:
-        """Monday=0 .. Sunday=6."""
-        return datetime(self.year, self.month, self.day).weekday()
-
-    def isoformat(self) -> str:
-        return f"{self.year:04d}-{self.month:02d}-{self.day:02d}T{self.hour:02d}:00:00"
-
-    def __str__(self) -> str:
-        return self.isoformat()
-
-    @classmethod
-    def parse(cls, text: str) -> "HourStamp":
-        dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
-        if dt.minute or dt.second:
-            raise ValueError(f"not a whole hour: {text!r}")
-        return cls(dt.year, dt.month, dt.day, dt.hour)
+    Raises ValueError for any other text, including a valid time that is not
+    a whole hour.
+    """
+    dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
+    if dt.minute or dt.second:
+        raise ValueError(f"not a whole hour: {text!r}")
+    return np.datetime64(dt, "h")
 
 
-def hour_delta(a: HourStamp, b: HourStamp) -> int:
-    """Whole hours from a to b (positive when b is later)."""
-    da = datetime(a.year, a.month, a.day, a.hour)
-    db = datetime(b.year, b.month, b.day, b.hour)
-    return round((db - da).total_seconds() / 3600.0)
+def format_hour(stamps):
+    """ISO text (`YYYY-MM-DDTHH:00:00`) of one hour or an array of hours."""
+    return np.datetime_as_string(stamps, unit="s")
 
 
-def utc_to_cst(stamp: HourStamp) -> HourStamp:
-    """Fixed UTC-6 conversion; rolls over day/month/year as needed."""
-    return stamp.add_hours(-CST_OFFSET_HOURS)
+def utc_to_cst(stamps):
+    """Fixed UTC-6 conversion of one hour or an array of hours."""
+    return stamps - CST_OFFSET_HOURS
 
 
-def cst_to_utc(stamp: HourStamp) -> HourStamp:
-    return stamp.add_hours(CST_OFFSET_HOURS)
+def cst_to_utc(stamps):
+    return stamps + CST_OFFSET_HOURS
 
 
 def combine_wind(u: float, v: float) -> float:
@@ -98,18 +78,23 @@ def combine_wind(u: float, v: float) -> float:
 class Gap:
     """A run of missing hours: `hours` missing stamps starting at `start`."""
 
-    start: HourStamp
+    start: np.datetime64
     hours: int
 
 
 @dataclass(frozen=True)
 class LoadSeries:
-    stamps: tuple[HourStamp, ...]
+    stamps: np.ndarray    # (n,) datetime64[h], ascending
     loads_mw: np.ndarray  # (n,), all > 0
-    gaps: tuple[Gap, ...]
 
     def __len__(self) -> int:
         return len(self.stamps)
+
+    @property
+    def gaps(self) -> tuple[Gap, ...]:
+        steps = np.diff(self.stamps).astype(np.int64)
+        return tuple(Gap(self.stamps[i] + 1, int(steps[i]) - 1)
+                     for i in np.flatnonzero(steps > 1))
 
 
 @dataclass(frozen=True)
@@ -126,15 +111,27 @@ class WeatherSample:
 class AlignedSeries:
     """Hourly rows where load and all 8 zones are present.
 
-    `weather[i, z, :]` holds (temp_k, wind_ms, lwrad_wm2, swrad_wm2) for zone z
-    at row i, with wind already combined from its u/v components. `segments`
-    lists (start_row, n_rows) runs of consecutive hours; they partition rows.
+    `stamps` must be strictly increasing. `weather[i, z, :]` holds (temp_k,
+    wind_ms, lwrad_wm2, swrad_wm2) for zone z at row i, with wind already
+    combined from its u/v components. `segments` is derived from `stamps`: it
+    lists (start_row, n_rows) runs of consecutive hours, which partition rows.
     """
 
-    stamps: tuple[HourStamp, ...]
+    stamps: np.ndarray    # (n,) datetime64[h]
     load_mw: np.ndarray   # (n,)
     weather: np.ndarray   # (n, N_ZONES, len(ZONE_VARS))
-    segments: tuple[tuple[int, int], ...]
+    segments: tuple[tuple[int, int], ...] = field(init=False)
+
+    def __post_init__(self):
+        stamps = np.asarray(self.stamps, dtype=HOUR_DTYPE)
+        stamps.setflags(write=False)  # segments must stay in step with stamps
+        steps = np.diff(stamps).astype(np.int64)
+        if np.any(steps <= 0):
+            raise ValueError("stamps must be strictly increasing")
+        bounds = [0, *(np.flatnonzero(steps > 1) + 1).tolist(), len(stamps)]
+        object.__setattr__(self, "stamps", stamps)
+        object.__setattr__(self, "segments", tuple(
+            (a, b - a) for a, b in zip(bounds, bounds[1:]) if b > a))
 
     def __len__(self) -> int:
         return len(self.stamps)
@@ -142,34 +139,10 @@ class AlignedSeries:
     def content_hash(self) -> str:
         """SHA-256 over timestamps and values; identifies the dataset."""
         digest = hashlib.sha256()
-        for s in self.stamps:
-            digest.update(s.isoformat().encode())
+        digest.update("".join(format_hour(self.stamps)).encode())
         digest.update(np.ascontiguousarray(self.load_mw, dtype="<f8").tobytes())
         digest.update(np.ascontiguousarray(self.weather, dtype="<f8").tobytes())
         return digest.hexdigest()
-
-
-def _find_gaps(stamps: list[HourStamp]) -> tuple[Gap, ...]:
-    gaps = []
-    for a, b in zip(stamps, stamps[1:]):
-        d = hour_delta(a, b)
-        if d > 1:
-            gaps.append(Gap(a.add_hours(1), d - 1))
-    return tuple(gaps)
-
-
-def compute_segments(stamps) -> tuple[tuple[int, int], ...]:
-    """Runs of rows whose timestamps advance by exactly one hour."""
-    if not stamps:
-        return ()
-    segments = []
-    start = 0
-    for i in range(1, len(stamps)):
-        if hour_delta(stamps[i - 1], stamps[i]) != 1:
-            segments.append((start, i - start))
-            start = i
-    segments.append((start, len(stamps) - start))
-    return tuple(segments)
 
 
 def _read_rows(path, expected_header):
@@ -191,41 +164,48 @@ def _parse_float(text: str, line_no: int, what: str) -> float:
     return value
 
 
+def _parse_stamp(text: str, line_no: int) -> np.datetime64:
+    try:
+        return parse_hour(text)
+    except ValueError as exc:
+        raise MalformedRow(line_no, str(exc)) from None
+
+
 def parse_load_csv(path) -> LoadSeries:
     """Parse `timestamp_cst,load_mw` rows into a gap-annotated hourly series."""
-    rows: list[tuple[HourStamp, float]] = []
+    stamps: list[np.datetime64] = []
+    loads: list[float] = []
     for line_no, row in _read_rows(path, LOAD_HEADER):
         if len(row) != 2:
             raise MalformedRow(line_no, f"expected 2 fields, got {len(row)}")
-        try:
-            stamp = HourStamp.parse(row[0])
-        except ValueError as exc:
-            raise MalformedRow(line_no, str(exc)) from None
+        stamp = _parse_stamp(row[0], line_no)
         load = _parse_float(row[1], line_no, "load_mw")
         if load <= 0:
-            raise NonPositiveLoad(stamp)
-        rows.append((stamp, load))
-    rows.sort(key=lambda r: r[0])
-    for (a, _), (b, _) in zip(rows, rows[1:]):
-        if a == b:
-            raise DuplicateTimestamp(a)
-    stamps = [s for s, _ in rows]
-    loads = np.array([v for _, v in rows], dtype=np.float64)
-    loads.setflags(write=False)
-    return LoadSeries(tuple(stamps), loads, _find_gaps(stamps))
+            raise NonPositiveLoad(format_hour(stamp))
+        stamps.append(stamp)
+        loads.append(load)
+    stamp_arr = np.array(stamps, dtype=HOUR_DTYPE)
+    order = np.argsort(stamp_arr, kind="stable")
+    stamp_arr, load_arr = stamp_arr[order], np.array(loads, dtype=np.float64)[order]
+    repeats = np.flatnonzero(np.diff(stamp_arr).astype(np.int64) == 0)
+    if len(repeats):
+        raise DuplicateTimestamp(format_hour(stamp_arr[repeats[0]]))
+    stamp_arr.setflags(write=False)
+    load_arr.setflags(write=False)
+    return LoadSeries(stamp_arr, load_arr)
 
 
-def parse_weather_csv(path) -> list[tuple[HourStamp, WeatherSample]]:
+def parse_weather_csv(path) -> list[tuple[np.datetime64, WeatherSample]]:
     """Parse per-zone weather rows keyed by UTC hour; units preserved as given."""
-    out: list[tuple[HourStamp, WeatherSample]] = []
-    seen: set[tuple[HourStamp, int]] = set()
+    out: list[tuple[np.datetime64, WeatherSample]] = []
+    seen: set[tuple[np.datetime64, int]] = set()
+    hours: dict[str, np.datetime64] = {}  # each hour's text repeats once per zone
     for line_no, row in _read_rows(path, WEATHER_HEADER):
         if len(row) != 7:
             raise MalformedRow(line_no, f"expected 7 fields, got {len(row)}")
-        try:
-            stamp = HourStamp.parse(row[0])
-        except ValueError as exc:
-            raise MalformedRow(line_no, str(exc)) from None
+        stamp = hours.get(row[0])
+        if stamp is None:
+            stamp = hours[row[0]] = _parse_stamp(row[0], line_no)
         try:
             zone = int(row[1])
         except ValueError:
@@ -236,34 +216,35 @@ def parse_weather_csv(path) -> list[tuple[HourStamp, WeatherSample]]:
             _parse_float(row[i], line_no, WEATHER_HEADER[i]) for i in range(2, 7)
         )
         if temp <= 0:
-            raise NonPhysical(f"temp_k {temp} <= 0 at {stamp} zone {zone}")
+            raise NonPhysical(f"temp_k {temp} <= 0 at {format_hour(stamp)} zone {zone}")
         if lwrad < 0 or swrad < 0:
-            raise NonPhysical(f"negative radiation at {stamp} zone {zone}")
+            raise NonPhysical(f"negative radiation at {format_hour(stamp)} zone {zone}")
         if (stamp, zone) in seen:
-            raise DuplicateZoneHour(stamp, zone)
+            raise DuplicateZoneHour(format_hour(stamp), zone)
         seen.add((stamp, zone))
         out.append((stamp, WeatherSample(zone, temp, u, v, lwrad, swrad)))
     out.sort(key=lambda r: (r[0], r[1].zone_id))
     return out
 
 
-def align(load: LoadSeries, weather: list[tuple[HourStamp, WeatherSample]]) -> AlignedSeries:
+def align(load: LoadSeries,
+          weather: list[tuple[np.datetime64, WeatherSample]]) -> AlignedSeries:
     """Join load with per-zone weather on hours where everything is present.
 
     Weather timestamps must already be in CST. Hours missing the load or any
     of the 8 zones are dropped, splitting the result into segments.
     """
-    by_hour: dict[HourStamp, dict[int, WeatherSample]] = {}
+    by_hour: dict[np.datetime64, dict[int, WeatherSample]] = {}
     for stamp, sample in weather:
         by_hour.setdefault(stamp, {})[sample.zone_id] = sample
 
-    keep = [i for i, s in enumerate(load.stamps) if len(by_hour.get(s, ())) == N_ZONES]
-    if not keep:
+    keep = np.array([len(by_hour.get(s, ())) == N_ZONES for s in load.stamps], dtype=bool)
+    if not keep.any():
         raise EmptyIntersection("no hour has both load and all 8 weather zones")
 
-    stamps = tuple(load.stamps[i] for i in keep)
-    loads = np.asarray(load.loads_mw)[keep].copy()
-    table = np.empty((len(keep), N_ZONES, len(ZONE_VARS)), dtype=np.float64)
+    stamps = load.stamps[keep]
+    loads = np.asarray(load.loads_mw)[keep]
+    table = np.empty((len(stamps), N_ZONES, len(ZONE_VARS)), dtype=np.float64)
     for r, s in enumerate(stamps):
         zones = by_hour[s]
         for z in range(N_ZONES):
@@ -276,15 +257,15 @@ def align(load: LoadSeries, weather: list[tuple[HourStamp, WeatherSample]]) -> A
             )
     loads.setflags(write=False)
     table.setflags(write=False)
-    return AlignedSeries(stamps, loads, table, compute_segments(stamps))
+    return AlignedSeries(stamps, loads, table)
 
 
 def load_and_align(load_path, weather_path) -> AlignedSeries:
     """Parse both files, convert weather UTC->CST, and align."""
     load = parse_load_csv(load_path)
     weather = parse_weather_csv(weather_path)
-    weather_cst = [(utc_to_cst(s), smp) for s, smp in weather]
-    return align(load, weather_cst)
+    cst = utc_to_cst(np.array([s for s, _ in weather], dtype=HOUR_DTYPE))
+    return align(load, list(zip(cst, (smp for _, smp in weather))))
 
 
 def aligned_csv_header() -> list[str]:
@@ -301,31 +282,28 @@ def write_aligned_csv(series: AlignedSeries, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(aligned_csv_header())
-        for i, stamp in enumerate(series.stamps):
-            row = [stamp.isoformat(), repr(float(series.load_mw[i]))]
+        for i, stamp in enumerate(format_hour(series.stamps)):
+            row = [stamp, repr(float(series.load_mw[i]))]
             row.extend(repr(float(x)) for x in series.weather[i].reshape(-1))
             writer.writerow(row)
 
 
 def read_aligned_csv(path) -> AlignedSeries:
     expected = aligned_csv_header()
-    stamps: list[HourStamp] = []
+    stamps: list[np.datetime64] = []
     loads: list[float] = []
     table: list[list[float]] = []
     for line_no, row in _read_rows(path, expected):
         if len(row) != len(expected):
             raise MalformedRow(line_no, f"expected {len(expected)} fields, got {len(row)}")
-        try:
-            stamp = HourStamp.parse(row[0])
-        except ValueError as exc:
-            raise MalformedRow(line_no, str(exc)) from None
+        stamp = _parse_stamp(row[0], line_no)
         if stamps and stamp <= stamps[-1]:
             if stamp == stamps[-1]:
-                raise DuplicateTimestamp(stamp)
+                raise DuplicateTimestamp(format_hour(stamp))
             raise MalformedRow(line_no, "timestamps out of order")
         load = _parse_float(row[1], line_no, "load_mw")
         if load <= 0:
-            raise NonPositiveLoad(stamp)
+            raise NonPositiveLoad(format_hour(stamp))
         stamps.append(stamp)
         loads.append(load)
         table.append([_parse_float(v, line_no, "weather value") for v in row[2:]])
@@ -335,4 +313,4 @@ def read_aligned_csv(path) -> AlignedSeries:
     weather = np.array(table, dtype=np.float64).reshape(len(stamps), N_ZONES, len(ZONE_VARS))
     load_arr.setflags(write=False)
     weather.setflags(write=False)
-    return AlignedSeries(tuple(stamps), load_arr, weather, compute_segments(stamps))
+    return AlignedSeries(np.array(stamps, dtype=HOUR_DTYPE), load_arr, weather)

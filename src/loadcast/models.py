@@ -26,10 +26,23 @@ from .errors import (
     ShapeMismatch,
 )
 from .features import FeatureSelector, assemble
-from .ingest import AlignedSeries, HourStamp
+from .ingest import AlignedSeries, format_hour
 from .neural import LSTM, Adam, Conv1D, Dense, Dropout, Flatten, Network, mse_loss
 
 MODEL_KINDS = ("persistence", "svr", "fcnn", "lstm", "lrcn")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: ModelSpec field annotation -> check applied to values read from outside
+_TYPE_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "tuple[int, ...]": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+}
 
 
 @dataclass(frozen=True)
@@ -82,10 +95,17 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise InvalidSpec(f"model spec must be an object, got {doc!r}")
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(doc) - set(types)
         if unknown:
             raise InvalidSpec(f"unknown ModelSpec keys: {sorted(unknown)}")
+        if "kind" not in doc:
+            raise InvalidSpec(f"model spec needs a 'kind', one of {MODEL_KINDS}")
+        for name, value in doc.items():
+            if not _TYPE_CHECKS[types[name]](value):
+                raise InvalidSpec(f"{name} must be of type {types[name]}, got {value!r}")
         kwargs = dict(doc)
         if "fcnn_hidden" in kwargs:
             kwargs["fcnn_hidden"] = tuple(kwargs["fcnn_hidden"])
@@ -285,29 +305,23 @@ def predict_batch(model: TrainedModel, raw_inputs: np.ndarray) -> np.ndarray:
     return model.normalizer.inverse_transform_load(y_norm)
 
 
-def predict_window(model: TrainedModel, raw_window: np.ndarray) -> np.ndarray:
-    """Single raw (t1, channels) window -> (t2,) megawatt forecast."""
-    return predict_batch(model, np.asarray(raw_window)[None, ...])[0]
-
-
-def predict_at(model: TrainedModel, series: AlignedSeries, end: HourStamp) -> np.ndarray:
+def predict_at(model: TrainedModel, series: AlignedSeries, end: np.datetime64) -> np.ndarray:
     """Forecast the t2 hours after `end` from the t1 hours ending at `end`.
 
     The t1 input hours must be a gap-free run inside one segment.
     """
     t1 = model.window.t1
-    try:
-        end_idx = series.stamps.index(end)
-    except ValueError:
-        raise NotContiguous(f"{end} is not present in the aligned series") from None
+    end_idx = int(np.searchsorted(series.stamps, end))
+    if end_idx == len(series) or series.stamps[end_idx] != end:
+        raise NotContiguous(f"{format_hour(end)} is not present in the aligned series")
     start_idx = end_idx - t1 + 1
     if start_idx < 0:
-        raise NotContiguous(f"fewer than {t1} hours available before {end}")
-    inside = any(s <= start_idx and end_idx < s + length for s, length in series.segments)
-    if not inside:
-        raise NotContiguous(f"the {t1} hours ending at {end} cross a gap")
+        raise NotContiguous(f"fewer than {t1} hours available before {format_hour(end)}")
+    # stamps strictly increase, so t1 rows span t1 - 1 hours only without a gap
+    if series.stamps[end_idx] - series.stamps[start_idx] != t1 - 1:
+        raise NotContiguous(f"the {t1} hours ending at {format_hour(end)} cross a gap")
     matrix = assemble(series, model.selector)
-    return predict_window(model, matrix.values[start_idx:end_idx + 1])
+    return predict_batch(model, matrix.values[None, start_idx:end_idx + 1])[0]
 
 
 def save(model: TrainedModel, path) -> None:

@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig
-from .ingest import HourStamp, cst_to_utc
+from .ingest import cst_to_utc, format_hour
 
 HOURS_PER_YEAR = 8760
-START = HourStamp(2015, 1, 1, 0)
+START = np.datetime64("2015-01-01T00", "h")
 
 ZONE_TEMP_OFFSET = np.linspace(-4.0, 4.0, 8)
 ZONE_WEIGHT = np.array([0.24, 0.16, 0.14, 0.12, 0.11, 0.09, 0.08, 0.06])
@@ -80,7 +80,7 @@ def simulate(n_hours: int, seed: int):
     noise = _ar1(rng, n_hours, 0.85, 250.0, 1)[:, 0]
     loads = BASE_LOAD_MW + weekly + diurnal_load + 900.0 * comfort_gap + noise
 
-    stamps = [START.add_hours(int(i)) for i in range(n_hours)]
+    stamps = START + h
     return stamps, loads, temp, wind_u, wind_v, lwrad, swrad
 
 
@@ -103,15 +103,14 @@ def generate_synthetic(years: float, seed: int, out_dir) -> tuple[Path, Path]:
     with open(load_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp_cst", "load_mw"])
-        for i, stamp in enumerate(stamps):
-            writer.writerow([stamp.isoformat(), repr(float(loads[i]))])
+        for i, stamp in enumerate(format_hour(stamps)):
+            writer.writerow([stamp, repr(float(loads[i]))])
 
     with open(weather_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp_utc", "zone_id", "temp_k", "wind_u_ms",
                          "wind_v_ms", "lwrad_wm2", "swrad_wm2"])
-        for i, stamp in enumerate(stamps):
-            utc = cst_to_utc(stamp).isoformat()
+        for i, utc in enumerate(format_hour(cst_to_utc(stamps))):
             for z in range(8):
                 writer.writerow([
                     utc, z,

@@ -3,8 +3,11 @@ import json
 
 import pytest
 
-from loadcast.cli import main
-from loadcast.ingest import write_aligned_csv
+from loadcast.cli import main, resolve_config
+from loadcast.dataset import DEFAULT_FRACTIONS, WindowConfig
+from loadcast.features import FeatureSelector, all_features
+from loadcast.ingest import format_hour, write_aligned_csv
+from loadcast.models import ModelSpec
 from loadcast.synthetic import generate_synthetic
 
 from _util import toy_series
@@ -112,6 +115,33 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert "trainnig" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value,code", [
+        ("training", "epochs", "3", "InvalidSpec"),
+        ("training", "epochs", 3.5, "InvalidSpec"),
+        ("training", "seed", "x", "InvalidSpec"),
+        ("model", "lstm_hidden", "64", "InvalidSpec"),
+        ("model", "fcnn_hidden", 5, "InvalidSpec"),
+        ("features", "zones", 5, "ConfigError"),
+        ("features", "include_load", "no", "ConfigError"),
+        ("split", "train", "a", "ConfigError"),
+        ("window", "t1", 2.5, "ConfigError"),
+    ])
+    def test_wrong_typed_field_rejected(self, tmp_path, capsys, section, key, value, code):
+        cfg = train_config("/nonexistent/aligned.csv", tmp_path / "out")
+        cfg.setdefault(section, {})[key] = value
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert f"error[{code}]" in capsys.readouterr().err
+
+    def test_default_config_matches_dataclass_defaults(self):
+        resolved = resolve_config({})
+        assert WindowConfig(**resolved["window"]) == WindowConfig()
+        spec = ModelSpec.from_dict({**resolved["model"], **resolved["training"]})
+        assert spec == ModelSpec(kind="lstm")
+        assert tuple(resolved["split"][s] for s in ("train", "val", "test")) == DEFAULT_FRACTIONS
+        assert FeatureSelector.from_dict(resolved["features"]) == all_features()
+
     def test_rerun_identical_artifact(self, aligned_csv, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(train_config(aligned_csv, tmp_path / "a")))
@@ -161,6 +191,14 @@ class TestEvaluate:
         assert code == 1
         assert "error[FileNotFound]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fractions", ["0.5,0.5,0.5", "0.5,0.5", "0.5,x,0.5"])
+    def test_bad_fractions_flag_rejected(self, persistence_model, aligned_csv, tmp_path,
+                                         capsys, fractions):
+        code = main(["evaluate", str(persistence_model), str(aligned_csv),
+                     "--fractions", fractions, "--out", str(tmp_path)])
+        assert code == 1
+        assert "error[ConfigError]" in capsys.readouterr().err
+
     def test_report_schema(self, persistence_model, aligned_csv, tmp_path):
         main(["evaluate", str(persistence_model), str(aligned_csv),
               "--out", str(tmp_path)])
@@ -187,7 +225,7 @@ class TestPredict:
         series = toy_series(60, seed=1, missing=(30, 31))
         gappy = tmp_path / "gappy.csv"
         write_aligned_csv(series, gappy)
-        end = series.stamps[series.segments[1][0] + 1].isoformat()
+        end = format_hour(series.stamps[series.segments[1][0] + 1])
         code = main(["predict", str(persistence_model), str(gappy), "--at", end])
         assert code == 1
         assert "error[NotContiguous]" in capsys.readouterr().err
@@ -212,6 +250,19 @@ class TestGrid:
         assert code == 0
         table = (tmp_path / "out" / "tables" / "table2.csv").read_text()
         assert len(table.strip().split("\n")) == 3
+
+    @pytest.mark.parametrize("change", [
+        {"rows": [{"name": "no_model", "features": {}}]},
+        {"split": ["a", 1, 1]},
+    ])
+    def test_malformed_grid_config_rejected(self, aligned_csv, tmp_path, capsys, change):
+        grid_cfg = {"name": "mini", "seeds": [0],
+                    "rows": [{"name": "p", "model": {"kind": "persistence"}}], **change}
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(grid_cfg))
+        code = main(["grid", str(cfg_path), str(aligned_csv), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error[InvalidConfig]" in capsys.readouterr().err
 
     def test_unknown_grid_name_lists_builtins(self, aligned_csv, tmp_path, capsys):
         code = main(["grid", "table9", str(aligned_csv), "--out", str(tmp_path)])

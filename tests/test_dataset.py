@@ -55,7 +55,7 @@ class TestBuildWindows:
         stamp_set = set(series.stamps)
         for origin in raw.origins:
             for k in range(raw.cfg.span):
-                assert origin.add_hours(k) in stamp_set
+                assert origin + k in stamp_set
 
     def test_targets_are_raw_load_of_last_hours(self):
         series, raw = windows_for(12)
@@ -87,7 +87,7 @@ class TestBuildWindows:
             assert len(raw) == expected
             stamp_set = set(series.stamps)
             for origin in raw.origins:
-                assert all(origin.add_hours(k) in stamp_set for k in range(t1 + t2))
+                assert all(origin + k in stamp_set for k in range(t1 + t2))
 
     def test_missing_load_channel(self):
         series = toy_series(20)

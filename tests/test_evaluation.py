@@ -20,7 +20,7 @@ from loadcast.evaluation import (
     tolerance_accuracy,
 )
 from loadcast.features import FeatureSelector, assemble
-from loadcast.ingest import AlignedSeries, compute_segments
+from loadcast.ingest import AlignedSeries
 from loadcast.models import ModelSpec, train
 
 from _util import BASE, toy_series
@@ -146,10 +146,10 @@ def _trained_on(series, selector=None, kind="persistence"):
 
 class TestEvaluate:
     def test_constant_series_flags_degenerate_without_crash(self):
-        stamps = tuple(BASE.add_hours(i) for i in range(40))
+        stamps = BASE + np.arange(40)
         load = np.full(40, 42000.0)
         weather = np.full((40, 8, 4), 100.0)
-        series = AlignedSeries(stamps, load, weather, compute_segments(stamps))
+        series = AlignedSeries(stamps, load, weather)
         ds, model = _trained_on(series)
         report = evaluate(model, ds, "test")
         assert report.mape_pct == 0.0

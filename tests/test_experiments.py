@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import loadcast.experiments as experiments
@@ -155,6 +157,22 @@ class TestRunGrid:
         assert saved.spec.svr_lambda == 10.0
         assert all(r.error is None for r in report.results.values())
 
+    @pytest.mark.parametrize("window,fractions", [
+        (WindowConfig(t1=2), (0.45, 0.45, 0.10)),
+        (WindowConfig(), (0.40, 0.40, 0.20)),
+    ])
+    def test_changed_window_or_split_retrains_every_row(self, tmp_path, window, fractions):
+        series = toy_series(160, seed=1)
+        run_grid(tiny_grid(), series, tmp_path / "reused")
+        changed = dataclasses.replace(tiny_grid(), window=window, fractions=fractions)
+        run_grid(changed, series, tmp_path / "reused")
+        run_grid(changed, series, tmp_path / "fresh")
+        files = [p for p in sorted((tmp_path / "fresh").rglob("*")) if p.is_file()]
+        assert len(files) == 4 * 2 + 3
+        for path in files:
+            rel = path.relative_to(tmp_path / "fresh")
+            assert (tmp_path / "reused" / rel).read_bytes() == path.read_bytes(), rel
+
     def test_failures_recorded_not_fatal(self, tmp_path):
         rows = (
             GridRow("persistence", FeatureSelector(), ModelSpec(kind="persistence")),
@@ -182,7 +200,7 @@ class TestRunGrid:
             raw = build_windows(matrix, series.segments, series.stamps, grid.window)
             ds = chronological_split(raw, grid.fractions)
             origins.append(ds.split_origins("test"))
-        assert origins[0] == origins[1]
+        assert np.array_equal(origins[0], origins[1])
 
     def test_dataset_too_small(self, tmp_path):
         with pytest.raises(DatasetTooSmall):

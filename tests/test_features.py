@@ -3,44 +3,48 @@ import pytest
 
 from loadcast.errors import EmptySelector
 from loadcast.features import FeatureSelector, all_features, assemble, encode_time
-from loadcast.ingest import HourStamp
 
 from _util import toy_series
 
 
+def H(text):
+    """One hour from `YYYY-MM-DDTHH` text."""
+    return np.datetime64(text, "h")
+
+
 class TestEncodeTime:
     def test_hour_zero_scalar(self):
-        assert encode_time(HourStamp(2015, 6, 1, 0), "hour") == (0.0,)
+        assert tuple(encode_time(H("2015-06-01T00"), "hour")) == (0.0,)
 
     def test_month_december_scalar_endpoint(self):
-        assert encode_time(HourStamp(2015, 12, 1, 0), "month") == (1.0,)
+        assert tuple(encode_time(H("2015-12-01T00"), "month")) == (1.0,)
 
     def test_hour_six_cyclical_quarter_cycle(self):
-        sin6, cos6 = encode_time(HourStamp(2015, 6, 1, 6), "hour", "cyclical")
+        sin6, cos6 = encode_time(H("2015-06-01T06"), "hour", "cyclical")
         assert sin6 == pytest.approx(1.0, abs=1e-12)
         assert cos6 == pytest.approx(0.0, abs=1e-12)
 
     def test_day_of_week_monday_origin(self):
         # 2015-06-01 was a Monday
-        assert encode_time(HourStamp(2015, 6, 1, 0), "day_of_week") == (0.0,)
-        assert encode_time(HourStamp(2015, 6, 7, 0), "day_of_week") == (1.0,)
+        assert tuple(encode_time(H("2015-06-01T00"), "day_of_week")) == (0.0,)
+        assert tuple(encode_time(H("2015-06-07T00"), "day_of_week")) == (1.0,)
 
     def test_scalar_range_all_values(self):
         for hour in range(24):
-            (v,) = encode_time(HourStamp(2015, 6, 1, hour), "hour")
+            (v,) = encode_time(H("2015-06-01T00") + hour, "hour")
             assert 0.0 <= v <= 1.0
         for month in range(1, 13):
-            (v,) = encode_time(HourStamp(2015, month, 1, 0), "month")
+            (v,) = encode_time(H(f"2015-{month:02d}-01T00"), "month")
             assert 0.0 <= v <= 1.0
 
     def test_cyclical_unit_circle(self):
         for hour in range(24):
-            s, c = encode_time(HourStamp(2015, 6, 1, hour), "hour", "cyclical")
+            s, c = encode_time(H("2015-06-01T00") + hour, "hour", "cyclical")
             assert s * s + c * c == pytest.approx(1.0, rel=1e-12)
 
     def test_unknown_feature(self):
         with pytest.raises(ValueError):
-            encode_time(HourStamp(2015, 6, 1, 0), "minute")
+            encode_time(H("2015-06-01T00"), "minute")
 
 
 class TestFeatureSelector:

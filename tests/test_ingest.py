@@ -12,10 +12,11 @@ from loadcast.errors import (
     UnknownZone,
 )
 from loadcast.ingest import (
-    HourStamp,
     align,
     combine_wind,
     cst_to_utc,
+    format_hour,
+    parse_hour,
     parse_load_csv,
     parse_weather_csv,
     read_aligned_csv,
@@ -25,7 +26,12 @@ from loadcast.ingest import (
 
 from _util import toy_series
 
-BASE = HourStamp(2015, 6, 1, 0)
+BASE = np.datetime64("2015-06-01T00", "h")
+
+
+def H(text):
+    """One hour from `YYYY-MM-DDTHH` text."""
+    return np.datetime64(text, "h")
 
 
 def write_load(path, rows):
@@ -43,41 +49,43 @@ def write_weather(path, rows):
 
 
 class TestHourStamp:
+    """datetime64[h] hours parsed from and formatted to the files' text."""
+
     def test_parse_format_round_trip(self):
-        s = HourStamp.parse("2015-06-01T07:00:00")
-        assert s == HourStamp(2015, 6, 1, 7)
-        assert s.isoformat() == "2015-06-01T07:00:00"
+        s = parse_hour("2015-06-01T07:00:00")
+        assert s == H("2015-06-01T07")
+        assert format_hour(s) == "2015-06-01T07:00:00"
 
     def test_rejects_partial_hours(self):
         with pytest.raises(ValueError):
-            HourStamp.parse("2015-06-01T07:30:00")
+            parse_hour("2015-06-01T07:30:00")
 
     def test_ordering_matches_time(self):
-        assert HourStamp(2014, 12, 31, 23) < HourStamp(2015, 1, 1, 0)
-        assert HourStamp(2015, 1, 1, 5) < HourStamp(2015, 1, 2, 0)
+        assert parse_hour("2014-12-31T23:00:00") < parse_hour("2015-01-01T00:00:00")
+        assert parse_hour("2015-01-01T05:00:00") < parse_hour("2015-01-02T00:00:00")
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            HourStamp(2015, 13, 1, 0)
+            parse_hour("2015-13-01T00:00:00")
         with pytest.raises(ValueError):
-            HourStamp(2015, 2, 29, 0)  # not a leap year
+            parse_hour("2015-02-29T00:00:00")  # not a leap year
 
 
 class TestUtcToCst:
     def test_simple_offset(self):
-        assert utc_to_cst(HourStamp(2015, 6, 1, 6)) == HourStamp(2015, 6, 1, 0)
+        assert utc_to_cst(H("2015-06-01T06")) == H("2015-06-01T00")
 
     def test_year_rollover(self):
-        assert utc_to_cst(HourStamp(2015, 1, 1, 3)) == HourStamp(2014, 12, 31, 21)
+        assert utc_to_cst(H("2015-01-01T03")) == H("2014-12-31T21")
 
     def test_leap_day_rollover(self):
-        assert utc_to_cst(HourStamp(2016, 3, 1, 2)) == HourStamp(2016, 2, 29, 20)
+        assert utc_to_cst(H("2016-03-01T02")) == H("2016-02-29T20")
 
     @given(st.integers(min_value=0, max_value=24 * 365 * 200))
     def test_bijection(self, offset):
-        stamp = HourStamp(1950, 1, 1, 0).add_hours(offset)
+        stamp = H("1950-01-01T00") + offset
         assert cst_to_utc(utc_to_cst(stamp)) == stamp
-        assert utc_to_cst(stamp).add_hours(6) == stamp
+        assert utc_to_cst(stamp) + 6 == stamp
 
 
 class TestCombineWind:
@@ -112,7 +120,7 @@ class TestParseLoadCsv:
         series = parse_load_csv(p)
         assert len(series) == 2
         assert len(series.gaps) == 1
-        assert series.gaps[0].start == HourStamp(2015, 6, 1, 1)
+        assert series.gaps[0].start == H("2015-06-01T01")
         assert series.gaps[0].hours == 1
 
     def test_non_positive_load(self, tmp_path):
@@ -182,9 +190,9 @@ class TestParseWeatherCsv:
 
 
 def _load_series(hours, base=BASE):
-    from loadcast.ingest import LoadSeries, _find_gaps
-    stamps = [base.add_hours(i) for i in hours]
-    return LoadSeries(tuple(stamps), np.full(len(stamps), 40000.0), _find_gaps(stamps))
+    from loadcast.ingest import LoadSeries
+    stamps = base + np.array(hours, dtype=np.int64)
+    return LoadSeries(stamps, np.full(len(stamps), 40000.0))
 
 
 def _weather_rows(hours, zones=range(8), base=BASE):
@@ -192,7 +200,7 @@ def _weather_rows(hours, zones=range(8), base=BASE):
     out = []
     for i in hours:
         for z in zones:
-            out.append((base.add_hours(i), WeatherSample(z, 290.0, 3.0, 4.0, 300.0, 100.0)))
+            out.append((base + i, WeatherSample(z, 290.0, 3.0, 4.0, 300.0, 100.0)))
     return out
 
 
@@ -200,7 +208,7 @@ class TestAlign:
     def test_intersection(self):
         aligned = align(_load_series(range(10)), _weather_rows(range(5, 15)))
         assert len(aligned) == 5
-        assert aligned.stamps[0] == BASE.add_hours(5)
+        assert aligned.stamps[0] == BASE + 5
         assert aligned.segments == ((0, 5),)
         # wind speed derived from (3, 4)
         assert np.allclose(aligned.weather[:, :, 1], 5.0)
@@ -208,7 +216,7 @@ class TestAlign:
     def test_missing_zone_excludes_hour(self):
         weather = _weather_rows(range(5, 10))
         weather = [(s, smp) for s, smp in weather
-                   if not (s == BASE.add_hours(7) and smp.zone_id == 3)]
+                   if not (s == BASE + 7 and smp.zone_id == 3)]
         aligned = align(_load_series(range(10)), weather)
         assert len(aligned) == 4
         assert aligned.segments == ((0, 2), (2, 2))
@@ -231,7 +239,7 @@ class TestAlignedCsvRoundTrip:
         path = tmp_path / "aligned.csv"
         write_aligned_csv(series, path)
         back = read_aligned_csv(path)
-        assert back.stamps == series.stamps
+        assert np.array_equal(back.stamps, series.stamps)
         assert back.segments == series.segments
         assert np.array_equal(back.load_mw, series.load_mw)
         assert np.array_equal(back.weather, series.weather)
@@ -241,3 +249,85 @@ class TestAlignedCsvRoundTrip:
         path.write_text("timestamp_cst,load\n")
         with pytest.raises(MalformedRow):
             read_aligned_csv(path)
+
+
+# --- golden pin: outputs that must not move when the timeline changes form ----
+
+def _sha256(data: bytes) -> str:
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
+
+
+def _hour_text(stamp) -> str:
+    """File-format text of one in-memory stamp (its str() is ISO text to the
+    hour or finer)."""
+    return np.datetime_as_string(np.datetime64(str(stamp), "h"), unit="s")
+
+
+class TestGoldenPin:
+    def test_synthetic_pipeline_values(self, tmp_path):
+        from loadcast.features import all_features, assemble
+        from loadcast.ingest import load_and_align
+        from loadcast.synthetic import generate_synthetic
+
+        load_path, weather_path = generate_synthetic(0.1, 3, tmp_path)
+        series = load_and_align(load_path, weather_path)
+        assert len(series) == 876
+        assert series.content_hash() == (
+            "c4a180463786bdd6ed5056492d1406e1d1ad20a26cbe5f92fbea2bb877cb0f87")
+        write_aligned_csv(series, tmp_path / "aligned.csv")
+        assert _sha256((tmp_path / "aligned.csv").read_bytes()) == (
+            "697c0ee8860a7bd09e2bf19ee861e5188aa2bcd600319723b0ad4088eabf7c9e")
+        expected = {
+            "scalar": "c7c8411ab639cd0003ec0765bc8e143b3ef0b086ed1c69bcb7dd4fbbb708a0d2",
+            "cyclical": "46d6ca6ddeff9c540489524577d297950a5000da1f9f7fd083840850cc68bf37",
+        }
+        for encoding, digest in expected.items():
+            values = assemble(series, all_features(encoding)).values
+            assert _sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()) == digest
+
+    def test_gap_across_new_year_and_leap_day(self, tmp_path):
+        import math
+
+        from loadcast.features import TIME_FEATURES, FeatureSelector, assemble
+        from loadcast.ingest import load_and_align
+
+        # CST load hours: two on New Year's Eve (already 2016 in UTC), a gap
+        # over the whole of January and February up to 2016-02-29T21, three
+        # hours from the leap day into March, and one more hour whose zone 3
+        # weather is missing, so that alignment drops it
+        cst = ["2015-12-31T22:00:00", "2015-12-31T23:00:00",
+               "2016-02-29T22:00:00", "2016-02-29T23:00:00", "2016-03-01T00:00:00",
+               "2016-03-01T01:00:00"]
+        utc = ["2016-01-01T04:00:00", "2016-01-01T05:00:00",
+               "2016-03-01T04:00:00", "2016-03-01T05:00:00", "2016-03-01T06:00:00",
+               "2016-03-01T07:00:00"]
+        write_load(tmp_path / "load.csv", [(s, 40000 + i) for i, s in enumerate(cst)])
+        write_weather(tmp_path / "weather.csv", [
+            weather_row(s, z) for i, s in enumerate(utc) for z in range(8)
+            if not (i == 5 and z == 3)])
+
+        load = parse_load_csv(tmp_path / "load.csv")
+        assert [(_hour_text(g.start), g.hours) for g in load.gaps] == [
+            ("2016-01-01T00:00:00", 1438)]
+        series = load_and_align(tmp_path / "load.csv", tmp_path / "weather.csv")
+        assert [_hour_text(s) for s in series.stamps] == cst[:5]
+        assert series.segments == ((0, 2), (2, 3))
+        assert series.load_mw.tolist() == [40000.0, 40001.0, 40002.0, 40003.0, 40004.0]
+
+        # hour, day_of_week (Monday=0), month of each row
+        calendar = [(22, 3, 12), (23, 3, 12), (22, 0, 2), (23, 0, 2), (0, 1, 3)]
+        scalar = assemble(series, FeatureSelector(
+            include_load=False, time_features=TIME_FEATURES)).values
+        assert scalar.tolist() == [[h / 23.0, d / 6.0, (m - 1) / 11.0]
+                                   for h, d, m in calendar]
+        cyclical = assemble(series, FeatureSelector(
+            include_load=False, time_features=TIME_FEATURES,
+            time_encoding="cyclical")).values
+        expected = []
+        for h, d, m in calendar:
+            row = []
+            for x in (h / 24.0, d / 7.0, (m - 1) / 12.0):
+                row.extend((math.sin(2.0 * math.pi * x), math.cos(2.0 * math.pi * x)))
+            expected.append(row)
+        assert cyclical.tolist() == expected
