@@ -33,7 +33,7 @@ from .features import (  # noqa: F401
 from .ingest import (  # noqa: F401
     AlignedSeries,
     LoadSeries,
-    WeatherSample,
+    WeatherColumns,
     align,
     combine_wind,
     format_hour,

@@ -286,12 +286,25 @@ def _run_one(grid: ExperimentGrid, row: GridRow, seed: int, series: AlignedSerie
         return RowSeedResult(row.name, seed, error=f"{type(exc).__name__}: {exc}")
 
 
+def _recorded_for_other_run(grid_json: Path, report: GridReport) -> bool:
+    """True when an earlier grid.json records other data or another split."""
+    try:
+        doc = json.loads(grid_json.read_text())
+        return (doc["data_hash"] != report.data_hash
+                or doc["config"]["split"] != list(report.grid.fractions))
+    except FileNotFoundError:
+        return False
+    except (OSError, ValueError, KeyError, TypeError):
+        return True  # unreadable record: trust none of the artifacts
+
+
 def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
              workers: int = 1) -> GridReport:
     """Train/evaluate every (row, seed), persist artifacts, render tables.
 
     Rows with existing valid artifacts are skipped, so an interrupted run
-    resumes where it stopped.
+    resumes where it stopped. When `out_dir/grid.json` records a run on other
+    data or another split, this grid's row artifacts are retrained instead.
     """
     span = grid.window.span
     total = sum(max(0, length - span + 1) for _, length in series.segments)
@@ -310,6 +323,13 @@ def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
     )
 
     jobs = [(row, seed) for row in grid.rows for seed in grid.seeds]
+    if _recorded_for_other_run(out_dir / "grid.json", report):
+        # the artifacts cannot tell which data or split trained them; with the
+        # record gone too, a run interrupted from here on resumes as a first run
+        for row, seed in jobs:
+            for name in ("model.lcst", "report.json"):
+                (out_dir / "rows" / row.name / f"seed{seed}" / name).unlink(missing_ok=True)
+        (out_dir / "grid.json").unlink()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_one, grid, row, seed, series, out_dir)

@@ -13,8 +13,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field
-from datetime import datetime
+import os
+import re
+from dataclasses import dataclass, field, replace
+from datetime import date, datetime
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,16 +46,34 @@ WEATHER_HEADER = [
 ]
 
 
+_CANONICAL_HOUR = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:00:00")
+_EPOCH_DAY = date(1970, 1, 1).toordinal()
+
+
+def _hour_number(text: str) -> int:
+    """Hours since 1970-01-01T00 of `parse_hour` text."""
+    dt = None
+    if _CANONICAL_HOUR.fullmatch(text):  # skips strptime; datetime checks the same ranges
+        try:
+            dt = datetime(int(text[:4]), int(text[5:7]), int(text[8:10]), int(text[11:13]))
+        except ValueError:
+            pass  # strptime words the error
+    if dt is None:
+        dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
+        if dt.minute or dt.second:
+            raise ValueError(f"not a whole hour: {text!r}")
+    return (dt.toordinal() - _EPOCH_DAY) * 24 + dt.hour
+
+
 def parse_hour(text: str) -> np.datetime64:
     """Parse `YYYY-MM-DDTHH:00:00` into a datetime64[h] hour.
 
     Raises ValueError for any other text, including a valid time that is not
-    a whole hour.
+    a whole hour. Text in exactly that ASCII form is built with `datetime`;
+    all other text goes through `strptime`, so the accepted text and the
+    wording of errors are those of `strptime`.
     """
-    dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
-    if dt.minute or dt.second:
-        raise ValueError(f"not a whole hour: {text!r}")
-    return np.datetime64(dt, "h")
+    return np.datetime64(_hour_number(text), "h")
 
 
 def format_hour(stamps):
@@ -98,13 +119,20 @@ class LoadSeries:
 
 
 @dataclass(frozen=True)
-class WeatherSample:
-    zone_id: int
-    temp_k: float
-    wind_u_ms: float
-    wind_v_ms: float
-    lwrad_wm2: float
-    swrad_wm2: float
+class WeatherColumns:
+    """Per-zone weather rows as columns, sorted by (stamp, zone_id).
+
+    `values[i]` holds (temp_k, wind_u_ms, wind_v_ms, lwrad_wm2, swrad_wm2) of
+    row i in the CSV's column order, units as given. Each (stamp, zone_id)
+    pair appears at most once.
+    """
+
+    stamps: np.ndarray   # (n,) datetime64[h]
+    zone_id: np.ndarray  # (n,) int, 0-7
+    values: np.ndarray   # (n, 5)
+
+    def __len__(self) -> int:
+        return len(self.stamps)
 
 
 @dataclass(frozen=True)
@@ -145,13 +173,74 @@ class AlignedSeries:
         return digest.hexdigest()
 
 
-def _read_rows(path, expected_header):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected_header:
-            raise MalformedRow(1, f"expected header {','.join(expected_header)!r}")
-        yield from ((line_no, row) for line_no, row in enumerate(reader, start=2))
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _read_rows(path, expected_header) -> list[list[str]]:
+    """The data rows of a CSV file (row i is line i + 2) after its header.
+
+    Bytes that are not UTF-8 and rows the csv module rejects (such as a field
+    over its size limit) are a MalformedRow on the line where they occur.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != expected_header:
+                raise MalformedRow(1, f"expected header {','.join(expected_header)!r}")
+            return list(reader)
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from None
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()  # that error's offset was into one chunk
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(data.count(b"\n", 0, exc.start) + 1, str(exc)) from None
+    return _read_rows(path, expected_header)  # the file changed between the reads
+
+
+# Each reader converts whole columns with builtins (`float`, `int`, and
+# `parse_hour` once per distinct hour text) and checks them as array masks.
+# Any failure, ValueError included, sends the rows through the per-row checks
+# below, which raise the error of the first bad row in file order, worded as
+# that row alone would be.
+
+def _columns(rows: list[list[str]], width: int) -> list[tuple[str, ...]]:
+    """The `width` columns of the rows; ValueError if a row has another width."""
+    if set(map(len, rows)) - {width}:
+        raise ValueError("wrong field count")
+    return list(zip(*rows)) or [()] * width
+
+
+def _parse_hours(texts) -> np.ndarray:
+    """datetime64[h] of each text, parsing each distinct text once."""
+    distinct = dict.fromkeys(texts)
+    hours = np.array([_hour_number(text) for text in distinct], dtype=np.int64)
+    index = dict(zip(distinct, range(len(distinct))))
+    return hours.astype(HOUR_DTYPE)[np.fromiter(map(index.__getitem__, texts), np.intp,
+                                                len(texts))]
+
+
+def _parse_floats(columns) -> np.ndarray:
+    """(n, len(columns)) float64 of the columns' text; ValueError if any is not
+    a finite float."""
+    n = len(columns[0])
+    values = np.fromiter(map(float, chain.from_iterable(columns)), np.float64,
+                         n * len(columns))
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return np.ascontiguousarray(values.reshape(len(columns), n).T)
+
+
+def _row_stamp(row: list[str], width: int, line_no: int) -> np.datetime64:
+    if len(row) != width:
+        raise MalformedRow(line_no, f"expected {width} fields, got {len(row)}")
+    try:
+        return parse_hour(row[0])
+    except ValueError as exc:
+        raise MalformedRow(line_no, str(exc)) from None
 
 
 def _parse_float(text: str, line_no: int, what: str) -> float:
@@ -164,55 +253,24 @@ def _parse_float(text: str, line_no: int, what: str) -> float:
     return value
 
 
-def _parse_stamp(text: str, line_no: int) -> np.datetime64:
-    try:
-        return parse_hour(text)
-    except ValueError as exc:
-        raise MalformedRow(line_no, str(exc)) from None
-
-
-def parse_load_csv(path) -> LoadSeries:
-    """Parse `timestamp_cst,load_mw` rows into a gap-annotated hourly series."""
-    stamps: list[np.datetime64] = []
-    loads: list[float] = []
-    for line_no, row in _read_rows(path, LOAD_HEADER):
-        if len(row) != 2:
-            raise MalformedRow(line_no, f"expected 2 fields, got {len(row)}")
-        stamp = _parse_stamp(row[0], line_no)
-        load = _parse_float(row[1], line_no, "load_mw")
-        if load <= 0:
+def _raise_first_load_error(rows: list[list[str]]) -> None:
+    for line_no, row in enumerate(rows, start=2):
+        stamp = _row_stamp(row, len(LOAD_HEADER), line_no)
+        if _parse_float(row[1], line_no, "load_mw") <= 0:
             raise NonPositiveLoad(format_hour(stamp))
-        stamps.append(stamp)
-        loads.append(load)
-    stamp_arr = np.array(stamps, dtype=HOUR_DTYPE)
-    order = np.argsort(stamp_arr, kind="stable")
-    stamp_arr, load_arr = stamp_arr[order], np.array(loads, dtype=np.float64)[order]
-    repeats = np.flatnonzero(np.diff(stamp_arr).astype(np.int64) == 0)
-    if len(repeats):
-        raise DuplicateTimestamp(format_hour(stamp_arr[repeats[0]]))
-    stamp_arr.setflags(write=False)
-    load_arr.setflags(write=False)
-    return LoadSeries(stamp_arr, load_arr)
 
 
-def parse_weather_csv(path) -> list[tuple[np.datetime64, WeatherSample]]:
-    """Parse per-zone weather rows keyed by UTC hour; units preserved as given."""
-    out: list[tuple[np.datetime64, WeatherSample]] = []
+def _raise_first_weather_error(rows: list[list[str]]) -> None:
     seen: set[tuple[np.datetime64, int]] = set()
-    hours: dict[str, np.datetime64] = {}  # each hour's text repeats once per zone
-    for line_no, row in _read_rows(path, WEATHER_HEADER):
-        if len(row) != 7:
-            raise MalformedRow(line_no, f"expected 7 fields, got {len(row)}")
-        stamp = hours.get(row[0])
-        if stamp is None:
-            stamp = hours[row[0]] = _parse_stamp(row[0], line_no)
+    for line_no, row in enumerate(rows, start=2):
+        stamp = _row_stamp(row, len(WEATHER_HEADER), line_no)
         try:
             zone = int(row[1])
         except ValueError:
             raise MalformedRow(line_no, f"bad zone_id: {row[1]!r}") from None
         if not 0 <= zone < N_ZONES:
             raise UnknownZone(zone)
-        temp, u, v, lwrad, swrad = (
+        temp, _, _, lwrad, swrad = (
             _parse_float(row[i], line_no, WEATHER_HEADER[i]) for i in range(2, 7)
         )
         if temp <= 0:
@@ -222,50 +280,97 @@ def parse_weather_csv(path) -> list[tuple[np.datetime64, WeatherSample]]:
         if (stamp, zone) in seen:
             raise DuplicateZoneHour(format_hour(stamp), zone)
         seen.add((stamp, zone))
-        out.append((stamp, WeatherSample(zone, temp, u, v, lwrad, swrad)))
-    out.sort(key=lambda r: (r[0], r[1].zone_id))
-    return out
 
 
-def align(load: LoadSeries,
-          weather: list[tuple[np.datetime64, WeatherSample]]) -> AlignedSeries:
+def _raise_first_aligned_error(rows: list[list[str]]) -> None:
+    previous, width = None, len(aligned_csv_header())
+    for line_no, row in enumerate(rows, start=2):
+        stamp = _row_stamp(row, width, line_no)
+        if previous is not None and stamp <= previous:
+            if stamp == previous:
+                raise DuplicateTimestamp(format_hour(stamp))
+            raise MalformedRow(line_no, "timestamps out of order")
+        if _parse_float(row[1], line_no, "load_mw") <= 0:
+            raise NonPositiveLoad(format_hour(stamp))
+        for text in row[2:]:
+            _parse_float(text, line_no, "weather value")
+        previous = stamp
+
+
+def parse_load_csv(path) -> LoadSeries:
+    """Parse `timestamp_cst,load_mw` rows into a gap-annotated hourly series."""
+    rows = _read_rows(path, LOAD_HEADER)
+    try:
+        stamp_col, load_col = _columns(rows, len(LOAD_HEADER))
+        stamps = _parse_hours(stamp_col)
+        loads = _parse_floats([load_col])[:, 0]
+        if not (loads > 0).all():
+            raise ValueError("non-positive load")
+    except ValueError:
+        _raise_first_load_error(rows)
+        raise
+    order = np.argsort(stamps, kind="stable")
+    stamps, loads = stamps[order], loads[order]
+    repeats = np.flatnonzero(np.diff(stamps).astype(np.int64) == 0)
+    if len(repeats):  # reported after every row passed its own checks
+        raise DuplicateTimestamp(format_hour(stamps[repeats[0]]))
+    return LoadSeries(_readonly(stamps), _readonly(loads))
+
+
+def parse_weather_csv(path) -> WeatherColumns:
+    """Parse per-zone weather rows keyed by UTC hour; units preserved as given."""
+    rows = _read_rows(path, WEATHER_HEADER)
+    try:
+        stamp_col, zone_col, *value_cols = _columns(rows, len(WEATHER_HEADER))
+        stamps = _parse_hours(stamp_col)
+        zones = np.fromiter(map(int, zone_col), np.int64, len(rows))
+        values = _parse_floats(value_cols)
+        if not (((zones >= 0) & (zones < N_ZONES)).all() and (values[:, 0] > 0).all()
+                and (values[:, 3:] >= 0).all()):
+            raise ValueError("value out of range")
+        order = np.lexsort((zones, stamps))
+        keys = stamps[order].astype(np.int64) * N_ZONES + zones[order]
+        if not (np.diff(keys) > 0).all():
+            raise ValueError("duplicate (stamp, zone) pair")
+    except (ValueError, OverflowError):  # OverflowError: a zone_id beyond int64
+        _raise_first_weather_error(rows)
+        raise
+    return WeatherColumns(stamps[order], zones[order], values[order])
+
+
+def align(load: LoadSeries, weather: WeatherColumns) -> AlignedSeries:
     """Join load with per-zone weather on hours where everything is present.
 
     Weather timestamps must already be in CST. Hours missing the load or any
     of the 8 zones are dropped, splitting the result into segments.
     """
-    by_hour: dict[np.datetime64, dict[int, WeatherSample]] = {}
-    for stamp, sample in weather:
-        by_hour.setdefault(stamp, {})[sample.zone_id] = sample
-
-    keep = np.array([len(by_hour.get(s, ())) == N_ZONES for s in load.stamps], dtype=bool)
+    row = np.searchsorted(load.stamps, weather.stamps)  # load row of each sample
+    found = row < len(load)
+    found[found] = load.stamps[row[found]] == weather.stamps[found]
+    present = np.zeros((len(load), N_ZONES), dtype=bool)
+    present[row[found], weather.zone_id[found]] = True
+    keep = present.all(axis=1)
     if not keep.any():
         raise EmptyIntersection("no hour has both load and all 8 weather zones")
 
-    stamps = load.stamps[keep]
-    loads = np.asarray(load.loads_mw)[keep]
-    table = np.empty((len(stamps), N_ZONES, len(ZONE_VARS)), dtype=np.float64)
-    for r, s in enumerate(stamps):
-        zones = by_hour[s]
-        for z in range(N_ZONES):
-            smp = zones[z]
-            table[r, z] = (
-                smp.temp_k,
-                combine_wind(smp.wind_u_ms, smp.wind_v_ms),
-                smp.lwrad_wm2,
-                smp.swrad_wm2,
-            )
-    loads.setflags(write=False)
-    table.setflags(write=False)
-    return AlignedSeries(stamps, loads, table)
+    found[found] = keep[row[found]]
+    out_row = (np.cumsum(keep) - 1)[row[found]]
+    values = weather.values[found]
+    # math.hypot, not np.hypot: the two differ in the last bit for some pairs
+    wind = np.fromiter(map(combine_wind, values[:, 1].tolist(), values[:, 2].tolist()),
+                       np.float64, len(values))
+    table = np.empty((int(keep.sum()), N_ZONES, len(ZONE_VARS)), dtype=np.float64)
+    table[out_row, weather.zone_id[found]] = np.column_stack(
+        [values[:, 0], wind, values[:, 3], values[:, 4]])
+    return AlignedSeries(load.stamps[keep], _readonly(np.asarray(load.loads_mw)[keep]),
+                         _readonly(table))
 
 
 def load_and_align(load_path, weather_path) -> AlignedSeries:
     """Parse both files, convert weather UTC->CST, and align."""
     load = parse_load_csv(load_path)
     weather = parse_weather_csv(weather_path)
-    cst = utc_to_cst(np.array([s for s, _ in weather], dtype=HOUR_DTYPE))
-    return align(load, list(zip(cst, (smp for _, smp in weather))))
+    return align(load, replace(weather, stamps=utc_to_cst(weather.stamps)))
 
 
 def aligned_csv_header() -> list[str]:
@@ -277,40 +382,40 @@ def aligned_csv_header() -> list[str]:
 
 
 def write_aligned_csv(series: AlignedSeries, path) -> None:
-    """Serialize with shortest round-trip float formatting (exact re-parse)."""
+    """Serialize with shortest round-trip float formatting (exact re-parse).
+
+    The rows go to a temporary file beside `path` that then replaces it, so an
+    interrupted write leaves the earlier file, if any, as it was.
+    """
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(aligned_csv_header())
-        for i, stamp in enumerate(format_hour(series.stamps)):
-            row = [stamp, repr(float(series.load_mw[i]))]
-            row.extend(repr(float(x)) for x in series.weather[i].reshape(-1))
-            writer.writerow(row)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    values = np.column_stack([series.load_mw, series.weather.reshape(len(series), -1)])
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(aligned_csv_header())
+            writer.writerows(zip(format_hour(series.stamps).tolist(),
+                                 *(map(repr, col) for col in values.T.tolist())))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_aligned_csv(path) -> AlignedSeries:
     expected = aligned_csv_header()
-    stamps: list[np.datetime64] = []
-    loads: list[float] = []
-    table: list[list[float]] = []
-    for line_no, row in _read_rows(path, expected):
-        if len(row) != len(expected):
-            raise MalformedRow(line_no, f"expected {len(expected)} fields, got {len(row)}")
-        stamp = _parse_stamp(row[0], line_no)
-        if stamps and stamp <= stamps[-1]:
-            if stamp == stamps[-1]:
-                raise DuplicateTimestamp(format_hour(stamp))
-            raise MalformedRow(line_no, "timestamps out of order")
-        load = _parse_float(row[1], line_no, "load_mw")
-        if load <= 0:
-            raise NonPositiveLoad(format_hour(stamp))
-        stamps.append(stamp)
-        loads.append(load)
-        table.append([_parse_float(v, line_no, "weather value") for v in row[2:]])
-    if not stamps:
+    rows = _read_rows(path, expected)
+    try:
+        stamp_col, *value_cols = _columns(rows, len(expected))
+        stamps = _parse_hours(stamp_col)
+        values = _parse_floats(value_cols)
+        if not ((np.diff(stamps).astype(np.int64) > 0).all() and (values[:, 0] > 0).all()):
+            raise ValueError("stamp out of order or non-positive load")
+    except ValueError:
+        _raise_first_aligned_error(rows)
+        raise
+    if not rows:
         raise EmptyIntersection("aligned file has no rows")
-    load_arr = np.array(loads, dtype=np.float64)
-    weather = np.array(table, dtype=np.float64).reshape(len(stamps), N_ZONES, len(ZONE_VARS))
-    load_arr.setflags(write=False)
-    weather.setflags(write=False)
-    return AlignedSeries(np.array(stamps, dtype=HOUR_DTYPE), load_arr, weather)
+    weather = values[:, 1:].reshape(len(rows), N_ZONES, len(ZONE_VARS))
+    return AlignedSeries(stamps, _readonly(np.ascontiguousarray(values[:, 0])),
+                         _readonly(weather))

@@ -109,7 +109,7 @@ class Conv1D(Layer):
         fan_out = kernel * filters
         self._add_param("W", glorot_uniform(rng, (kernel, in_chan, filters), fan_in, fan_out))
         self._add_param("b", np.zeros(filters))
-        self._win = None
+        self._cols = None
         self._z = None
         self._x_shape = None
 
@@ -120,10 +120,15 @@ class Conv1D(Layer):
         if x.shape[1] < self.kernel:
             raise KernelTooLarge(
                 f"layer {self.name}: kernel {self.kernel} > time axis {x.shape[1]}")
-        # (batch, time', in_chan, kernel); window axis appended last
+        batch, steps, _ = x.shape
+        t_out = steps - self.kernel + 1
+        # one row per output step holding its (kernel, in_chan) window in W's
+        # order, so the whole layer is a single matmul
         win = np.lib.stride_tricks.sliding_window_view(x, self.kernel, axis=1)
-        z = np.einsum("btck,kcf->btf", win, self.params["W"]) + self.params["b"]
-        self._win, self._z, self._x_shape = win, z, x.shape
+        cols = win.transpose(0, 1, 3, 2).reshape(batch * t_out, self.kernel * self.in_chan)
+        w = self.params["W"].reshape(self.kernel * self.in_chan, self.filters)
+        z = (cols @ w).reshape(batch, t_out, self.filters) + self.params["b"]
+        self._cols, self._z, self._x_shape = cols, z, x.shape
         return self._finite(np.maximum(z, 0.0), "forward")
 
     def backward(self, grad_out):
@@ -131,7 +136,8 @@ class Conv1D(Layer):
             raise ShapeMismatch(
                 f"layer {self.name}: gradient shape {grad_out.shape} != {self._z.shape}")
         gz = grad_out * (self._z > 0)
-        self.grads["W"] += np.einsum("btck,btf->kcf", self._win, gz)
+        grad_w = self._cols.T @ gz.reshape(-1, self.filters)
+        self.grads["W"] += grad_w.reshape(self.params["W"].shape)
         self.grads["b"] += gz.sum(axis=(0, 1))
         gx = np.zeros(self._x_shape)
         t_out = gz.shape[1]

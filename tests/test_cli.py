@@ -83,6 +83,19 @@ class TestIngest:
         out = capsys.readouterr().out
         assert "segments=2" in out and "gap_hours=2" in out
 
+    @pytest.mark.parametrize("bad_row,line_no", [
+        (b"2015-01-01T01:00:00,4\xff000\n", 3),  # not UTF-8
+        (b"2015-01-01T01:00:00," + b"1" * 131_073 + b"\n", 3),  # over the csv field limit
+    ], ids=["undecodable", "oversized-field"])
+    def test_unreadable_load_csv_is_malformed_row(self, tmp_path, capsys, bad_row, line_no):
+        generate_synthetic(0.01, 1, tmp_path)
+        (tmp_path / "load.csv").write_bytes(
+            b"timestamp_cst,load_mw\n2015-01-01T00:00:00,40000\n" + bad_row)
+        code = main(["ingest", str(tmp_path / "load.csv"), str(tmp_path / "weather.csv"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error[MalformedRow]: line {line_no}: ")
+
 
 class TestTrain:
     def test_writes_model_history_config(self, aligned_csv, tmp_path):

@@ -160,6 +160,8 @@ class TestRunGrid:
     @pytest.mark.parametrize("window,fractions", [
         (WindowConfig(t1=2), (0.45, 0.45, 0.10)),
         (WindowConfig(), (0.40, 0.40, 0.20)),
+        # moves only the train/val boundary; the test split keeps its 17 windows
+        (WindowConfig(), (0.40, 0.4934, 0.1066)),
     ])
     def test_changed_window_or_split_retrains_every_row(self, tmp_path, window, fractions):
         series = toy_series(160, seed=1)
@@ -169,6 +171,21 @@ class TestRunGrid:
         run_grid(changed, series, tmp_path / "fresh")
         files = [p for p in sorted((tmp_path / "fresh").rglob("*")) if p.is_file()]
         assert len(files) == 4 * 2 + 3
+        for path in files:
+            rel = path.relative_to(tmp_path / "fresh")
+            assert (tmp_path / "reused" / rel).read_bytes() == path.read_bytes(), rel
+
+    @pytest.mark.parametrize("cut_record", [False, True], ids=["other-data", "cut-grid-json"])
+    def test_changed_data_retrains_every_row(self, tmp_path, cut_record):
+        # same length, so every window count and split size matches the first run
+        run_grid(tiny_grid(seeds=(0,)), toy_series(160, seed=1), tmp_path / "reused")
+        if cut_record:  # a grid.json cut short by an interrupted write names no data
+            record = tmp_path / "reused" / "grid.json"
+            record.write_bytes(record.read_bytes()[:100])
+        run_grid(tiny_grid(seeds=(0,)), toy_series(160, seed=2), tmp_path / "reused")
+        run_grid(tiny_grid(seeds=(0,)), toy_series(160, seed=2), tmp_path / "fresh")
+        files = [p for p in sorted((tmp_path / "fresh").rglob("*")) if p.is_file()]
+        assert len(files) == 2 * 2 + 3
         for path in files:
             rel = path.relative_to(tmp_path / "fresh")
             assert (tmp_path / "reused" / rel).read_bytes() == path.read_bytes(), rel

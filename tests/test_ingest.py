@@ -1,16 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from loadcast.errors import (
     DuplicateTimestamp,
     DuplicateZoneHour,
     EmptyIntersection,
+    LoadcastError,
     MalformedRow,
     NonPhysical,
     NonPositiveLoad,
     UnknownZone,
 )
+from loadcast import ingest
 from loadcast.ingest import (
     align,
     combine_wind,
@@ -63,6 +67,31 @@ class TestHourStamp:
     def test_ordering_matches_time(self):
         assert parse_hour("2014-12-31T23:00:00") < parse_hour("2015-01-01T00:00:00")
         assert parse_hour("2015-01-01T05:00:00") < parse_hour("2015-01-02T00:00:00")
+
+    @given(st.one_of(
+        st.integers(-24 * 365 * 1969, 24 * 365 * 8000).map(
+            lambda h: format_hour(np.datetime64(h, "h"))),
+        st.from_regex(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:00:00", fullmatch=True),
+        st.from_regex(r"[0-9]{1,4}-[0-9]{1,2}-[0-9]{1,2}T[0-9]{1,2}:[0-9]{2}:[0-9]{2}",
+                      fullmatch=True),
+    ))
+    def test_matches_strptime_reference(self, text):
+        from datetime import datetime
+
+        def reference(text):
+            dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
+            if dt.minute or dt.second:
+                raise ValueError(f"not a whole hour: {text!r}")
+            return np.datetime64(dt, "h")
+
+        try:
+            expected = reference(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                parse_hour(text)
+            assert str(err.value) == str(exc)
+        else:
+            assert parse_hour(text) == expected
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -162,7 +191,7 @@ class TestParseWeatherCsv:
         write_weather(p, [weather_row("2015-06-01T00:00:00", z) for z in range(8)])
         rows = parse_weather_csv(p)
         assert len(rows) == 8
-        assert sorted(s.zone_id for _, s in rows) == list(range(8))
+        assert sorted(rows.zone_id.tolist()) == list(range(8))
 
     def test_unknown_zone(self, tmp_path):
         p = tmp_path / "weather.csv"
@@ -182,6 +211,17 @@ class TestParseWeatherCsv:
         with pytest.raises(NonPhysical):
             parse_weather_csv(p)
 
+    def test_columns_sorted_by_stamp_then_zone(self, tmp_path):
+        p = tmp_path / "weather.csv"
+        write_weather(p, [_w("01", 5), _w("00", " 3", temp=" 2.9e2 ", sw="1_0"),
+                          _w("01", 0, u="-1.5")])
+        rows = parse_weather_csv(p)
+        assert np.array_equal(rows.stamps, BASE + np.array([0, 1, 1]))
+        assert rows.zone_id.tolist() == [3, 0, 5]
+        assert rows.values.tolist() == [[290.0, 1.0, 2.0, 300.0, 10.0],
+                                        [290.0, -1.5, 2.0, 300.0, 100.0],
+                                        [290.0, 1.0, 2.0, 300.0, 100.0]]
+
     def test_duplicate_zone_hour(self, tmp_path):
         p = tmp_path / "weather.csv"
         write_weather(p, [weather_row("2015-06-01T00:00:00", 3)] * 2)
@@ -196,12 +236,11 @@ def _load_series(hours, base=BASE):
 
 
 def _weather_rows(hours, zones=range(8), base=BASE):
-    from loadcast.ingest import WeatherSample
-    out = []
-    for i in hours:
-        for z in zones:
-            out.append((base + i, WeatherSample(z, 290.0, 3.0, 4.0, 300.0, 100.0)))
-    return out
+    from loadcast.ingest import WeatherColumns
+    stamps = base + np.repeat(np.array(hours, dtype=np.int64), len(zones))
+    zone_id = np.tile(np.array(zones, dtype=np.int64), len(hours))
+    values = np.tile([290.0, 3.0, 4.0, 300.0, 100.0], (len(stamps), 1))
+    return WeatherColumns(stamps, zone_id, values)
 
 
 class TestAlign:
@@ -215,8 +254,10 @@ class TestAlign:
 
     def test_missing_zone_excludes_hour(self):
         weather = _weather_rows(range(5, 10))
-        weather = [(s, smp) for s, smp in weather
-                   if not (s == BASE + 7 and smp.zone_id == 3)]
+        kept = ~((weather.stamps == BASE + 7) & (weather.zone_id == 3))
+        weather = dataclasses.replace(weather, stamps=weather.stamps[kept],
+                                      zone_id=weather.zone_id[kept],
+                                      values=weather.values[kept])
         aligned = align(_load_series(range(10)), weather)
         assert len(aligned) == 4
         assert aligned.segments == ((0, 2), (2, 2))
@@ -249,6 +290,36 @@ class TestAlignedCsvRoundTrip:
         path.write_text("timestamp_cst,load\n")
         with pytest.raises(MalformedRow):
             read_aligned_csv(path)
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        import csv
+
+        path = tmp_path / "aligned.csv"
+        write_aligned_csv(toy_series(24, seed=1), path)
+        before = path.read_bytes()
+        real_writer = csv.writer
+
+        class InterruptedWriter:
+            """Writes the header and nine data rows, then is interrupted."""
+
+            def __init__(self, fh):
+                self.inner, self.rows = real_writer(fh), 0
+
+            def writerow(self, row):
+                if self.rows == 10:
+                    raise KeyboardInterrupt
+                self.rows += 1
+                self.inner.writerow(row)
+
+            def writerows(self, rows):
+                for row in rows:
+                    self.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", InterruptedWriter)
+        with pytest.raises(KeyboardInterrupt):
+            write_aligned_csv(toy_series(72, seed=2), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["aligned.csv"]
 
 
 # --- golden pin: outputs that must not move when the timeline changes form ----
@@ -331,3 +402,301 @@ class TestGoldenPin:
                 row.extend((math.sin(2.0 * math.pi * x), math.cos(2.0 * math.pi * x)))
             expected.append(row)
         assert cyclical.tolist() == expected
+
+
+# --- error pin: which error each bad file raises, worded how, on which line ---
+
+LOAD_HEADER_TEXT = "timestamp_cst,load_mw"
+WEATHER_HEADER_TEXT = "timestamp_utc,zone_id,temp_k,wind_u_ms,wind_v_ms,lwrad_wm2,swrad_wm2"
+STRPTIME_FORMAT = "%Y-%m-%dT%H:%M:%S"
+
+
+def _s(hour):
+    return f"2015-06-01T{hour}:00:00"
+
+
+def _w(hour, zone, temp="290.0", u="1.0", v="2.0", lw="300.0", sw="100.0"):
+    return f"{_s(hour)},{zone},{temp},{u},{v},{lw},{sw}"
+
+
+def _a(hour, load="40000.0", first="1.5"):
+    return f"{_s(hour)},{load}," + ",".join([first] + ["1.5"] * 31)
+
+
+def _aligned_header():
+    from loadcast.ingest import aligned_csv_header
+    return ",".join(aligned_csv_header())
+
+
+# (reader, header, data rows, exception class, str(exc), line_no or None)
+ERROR_CASES = {
+    "load-bad-header": (
+        "load", "time,load", [f"{_s('00')},1"],
+        MalformedRow, "line 1: expected header 'timestamp_cst,load_mw'", 1),
+    "load-field-count": (
+        "load", None, [f"{_s('00')},1", f"{_s('01')},1,2"],
+        MalformedRow, "line 3: expected 2 fields, got 3", 3),
+    "load-bad-stamp": (
+        "load", None, [f"{_s('00')},1", "2015-06-01 01:00:00,1"],
+        MalformedRow,
+        f"line 3: time data '2015-06-01 01:00:00' does not match format '{STRPTIME_FORMAT}'",
+        3),
+    "load-not-whole-hour": (
+        "load", None, [f"{_s('00')},1", "2015-06-01T01:30:00,1"],
+        MalformedRow, "line 3: not a whole hour: '2015-06-01T01:30:00'", 3),
+    "load-bad-float": (
+        "load", None, [f"{_s('00')},1", f"{_s('01')},abc"],
+        MalformedRow, "line 3: bad load_mw: 'abc'", 3),
+    "load-inf": (
+        "load", None, [f"{_s('00')},inf"],
+        MalformedRow, "line 2: non-finite load_mw: 'inf'", 2),
+    "load-nan": (
+        "load", None, [f"{_s('00')},nan"],
+        MalformedRow, "line 2: non-finite load_mw: 'nan'", 2),
+    "load-zero": (
+        "load", None, [f"{_s('00')},1", f"{_s('01')},0"],
+        NonPositiveLoad, "non-positive load at 2015-06-01T01:00:00", None),
+    "load-duplicate-loses-to-later-bad-float": (
+        "load", None,
+        [f"{_s('00')},1", f"{_s('00')},2"]
+        + [f"{_s(h)},1" for h in ("02", "03", "04", "05", "06", "07")]
+        + [f"{_s('08')},0x10"],
+        MalformedRow, "line 10: bad load_mw: '0x10'", 10),
+    "load-smallest-duplicate-named": (
+        "load", None, [f"{_s('05')},1", f"{_s('05')},1", f"{_s('02')},1", f"{_s('02')},1"],
+        DuplicateTimestamp, "duplicate timestamp 2015-06-01T02:00:00", None),
+    "load-field-count-beats-stamp": (
+        "load", None, ["bad,stamp,x"],
+        MalformedRow, "line 2: expected 2 fields, got 3", 2),
+    "load-stamp-beats-float": (
+        "load", None, ["bad,abc"],
+        MalformedRow, f"line 2: time data 'bad' does not match format '{STRPTIME_FORMAT}'", 2),
+    "load-earlier-line-wins": (
+        "load", None, [f"{_s('00')},-1", "bad,1"],
+        NonPositiveLoad, "non-positive load at 2015-06-01T00:00:00", None),
+    "load-earlier-bad-float-wins": (
+        "load", None, [f"{_s('00')},1", f"{_s('01')},abc", "bad,1"],
+        MalformedRow, "line 3: bad load_mw: 'abc'", 3),
+    "weather-bad-header": (
+        "weather", "timestamp,zone", [_w("00", 0)],
+        MalformedRow, f"line 1: expected header '{WEATHER_HEADER_TEXT}'", 1),
+    "weather-field-count": (
+        "weather", None, [_w("00", 0), _w("00", 1)[:-6]],
+        MalformedRow, "line 3: expected 7 fields, got 6", 3),
+    "weather-bad-stamp": (
+        "weather", None, [_w("00", 0), "2015-06-01T24:00:00,1,290,1,2,300,100"],
+        MalformedRow,
+        f"line 3: time data '2015-06-01T24:00:00' does not match format '{STRPTIME_FORMAT}'",
+        3),
+    "weather-not-whole-hour": (
+        "weather", None, [_w("00", 0), "2015-06-01T01:00:01,1,290,1,2,300,100"],
+        MalformedRow, "line 3: not a whole hour: '2015-06-01T01:00:01'", 3),
+    "weather-bad-zone-text": (
+        "weather", None, [_w("00", 0), _w("00", "x")],
+        MalformedRow, "line 3: bad zone_id: 'x'", 3),
+    "weather-zone-9": (
+        "weather", None, [_w("00", 0), _w("00", 9)],
+        UnknownZone, "zone_id 9 outside 0-7", None),
+    "weather-zone-beyond-int64": (
+        "weather", None, [_w("00", 0), _w("00", 10**20)],
+        UnknownZone, f"zone_id {10**20} outside 0-7", None),
+    "weather-zone-negative": (
+        "weather", None, [_w("00", 0), _w("00", -1)],
+        UnknownZone, "zone_id -1 outside 0-7", None),
+    "weather-bad-float": (
+        "weather", None, [_w("00", 0), _w("00", 1, temp="abc")],
+        MalformedRow, "line 3: bad temp_k: 'abc'", 3),
+    "weather-nan": (
+        "weather", None, [_w("00", 0), _w("00", 1, v="nan")],
+        MalformedRow, "line 3: non-finite wind_v_ms: 'nan'", 3),
+    "weather-first-bad-column-wins": (
+        "weather", None, [_w("00", 0), _w("00", 1, u="inf", v="abc")],
+        MalformedRow, "line 3: non-finite wind_u_ms: 'inf'", 3),
+    "weather-temp-zero": (
+        "weather", None, [_w("00", 0), _w("00", 1, temp="0")],
+        NonPhysical, "temp_k 0.0 <= 0 at 2015-06-01T00:00:00 zone 1", None),
+    "weather-floats-beat-temp": (
+        "weather", None, [_w("00", 0), _w("00", 1, temp="-1", sw="abc")],
+        MalformedRow, "line 3: bad swrad_wm2: 'abc'", 3),
+    "weather-negative-lwrad": (
+        "weather", None, [_w("00", 0), _w("00", 1, lw="-0.5")],
+        NonPhysical, "negative radiation at 2015-06-01T00:00:00 zone 1", None),
+    "weather-negative-swrad": (
+        "weather", None, [_w("00", 0), _w("00", 1, sw="-1e-9")],
+        NonPhysical, "negative radiation at 2015-06-01T00:00:00 zone 1", None),
+    "weather-duplicate": (
+        "weather", None, [_w("00", 3), _w("00", 3)],
+        DuplicateZoneHour, "duplicate (timestamp, zone) pair: 2015-06-01T00:00:00 zone 3",
+        None),
+    "weather-first-repeat-in-file-order": (
+        "weather", None, [_w("05", 1), _w("01", 2), _w("05", 1), _w("01", 2)],
+        DuplicateZoneHour, "duplicate (timestamp, zone) pair: 2015-06-01T05:00:00 zone 1",
+        None),
+    "weather-temp-beats-duplicate": (
+        "weather", None, [_w("00", 3), _w("00", 3, temp="0")],
+        NonPhysical, "temp_k 0.0 <= 0 at 2015-06-01T00:00:00 zone 3", None),
+    "weather-earlier-duplicate-wins": (
+        "weather", None, [_w("00", 3), _w("00", 3), _w("01", 1, temp="abc")],
+        DuplicateZoneHour, "duplicate (timestamp, zone) pair: 2015-06-01T00:00:00 zone 3",
+        None),
+    "weather-field-count-beats-stamp": (
+        "weather", None, ["bad,x,abc,1,2,3"],
+        MalformedRow, "line 2: expected 7 fields, got 6", 2),
+    "weather-stamp-beats-zone": (
+        "weather", None, ["bad,x,abc,1,2,3,4"],
+        MalformedRow, f"line 2: time data 'bad' does not match format '{STRPTIME_FORMAT}'", 2),
+    "weather-zone-beats-floats": (
+        "weather", None, [_w("00", "x", temp="abc")],
+        MalformedRow, "line 2: bad zone_id: 'x'", 2),
+    "weather-unknown-zone-beats-floats": (
+        "weather", None, [_w("00", 9, temp="abc")],
+        UnknownZone, "zone_id 9 outside 0-7", None),
+    "weather-earlier-line-wins": (
+        "weather", None, [_w("00", 0, temp="0"), _w("01", "x")],
+        NonPhysical, "temp_k 0.0 <= 0 at 2015-06-01T00:00:00 zone 0", None),
+    "aligned-bad-header": (
+        "aligned", LOAD_HEADER_TEXT, [],
+        MalformedRow, None, 1),
+    "aligned-no-rows": (
+        "aligned", None, [],
+        EmptyIntersection, "aligned file has no rows", None),
+    "aligned-field-count": (
+        "aligned", None, [_a("00"), _a("01")[:-4]],
+        MalformedRow, "line 3: expected 34 fields, got 33", 3),
+    "aligned-not-whole-hour": (
+        "aligned", None, [_a("00"), _a("01").replace("T01:00:00", "T01:15:00")],
+        MalformedRow, "line 3: not a whole hour: '2015-06-01T01:15:00'", 3),
+    "aligned-duplicate-stamp": (
+        "aligned", None, [_a("00"), _a("00")],
+        DuplicateTimestamp, "duplicate timestamp 2015-06-01T00:00:00", None),
+    "aligned-out-of-order": (
+        "aligned", None, [_a("01"), _a("00")],
+        MalformedRow, "line 3: timestamps out of order", 3),
+    "aligned-bad-load": (
+        "aligned", None, [_a("00"), _a("01", load="x")],
+        MalformedRow, "line 3: bad load_mw: 'x'", 3),
+    "aligned-non-finite-load": (
+        "aligned", None, [_a("00"), _a("01", load="-inf")],
+        MalformedRow, "line 3: non-finite load_mw: '-inf'", 3),
+    "aligned-negative-load": (
+        "aligned", None, [_a("00"), _a("01", load="-3")],
+        NonPositiveLoad, "non-positive load at 2015-06-01T01:00:00", None),
+    "aligned-bad-weather-value": (
+        "aligned", None, [_a("00"), _a("01", first="zz")],
+        MalformedRow, "line 3: bad weather value: 'zz'", 3),
+    "aligned-non-finite-weather-value": (
+        "aligned", None, [_a("00"), _a("01", first="nan")],
+        MalformedRow, "line 3: non-finite weather value: 'nan'", 3),
+    "aligned-order-beats-load": (
+        "aligned", None, [_a("01"), _a("00", load="x")],
+        MalformedRow, "line 3: timestamps out of order", 3),
+    "aligned-load-beats-weather": (
+        "aligned", None, [_a("00"), _a("01", load="0", first="x")],
+        NonPositiveLoad, "non-positive load at 2015-06-01T01:00:00", None),
+    "aligned-earlier-line-wins": (
+        "aligned", None, [_a("00"), _a("01", first="x"), _a("01")],
+        MalformedRow, "line 3: bad weather value: 'x'", 3),
+}
+
+
+def _write_case(tmp_path, reader, header, rows):
+    if header is None:
+        header = {"load": LOAD_HEADER_TEXT, "weather": WEATHER_HEADER_TEXT,
+                  "aligned": _aligned_header()}[reader]
+    path = tmp_path / f"{reader}.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
+READERS = {"load": parse_load_csv, "weather": parse_weather_csv, "aligned": read_aligned_csv}
+
+
+class TestErrorPin:
+    @pytest.mark.parametrize("case", ERROR_CASES, ids=list(ERROR_CASES))
+    def test_error(self, tmp_path, case):
+        reader, header, rows, cls, message, line_no = ERROR_CASES[case]
+        if message is None:  # the aligned header is too long to spell out
+            message = f"line 1: expected header '{_aligned_header()}'"
+        path = _write_case(tmp_path, reader, header, rows)
+        with pytest.raises(LoadcastError) as err:
+            READERS[reader](path)
+        assert type(err.value) is cls
+        assert str(err.value) == message
+        assert getattr(err.value, "line_no", None) == line_no
+
+    def test_lenient_spellings_accepted(self, tmp_path):
+        """Float and int text is whatever float()/int() accept, and stamps
+        whatever the strptime format accepts."""
+        load = parse_load_csv(_write_case(
+            tmp_path, "load", None, [f"{_s('00')}, 2.5 ", "2015-6-1T01:00:00,1_0"]))
+        assert load.loads_mw.tolist() == [2.5, 10.0]
+        assert np.array_equal(load.stamps, BASE + np.arange(2))
+        aligned = read_aligned_csv(_write_case(
+            tmp_path, "aligned", None,
+            [_a("00"), _a("01").replace("2015-06-01T01", "2015-6-1T01")]))
+        assert np.array_equal(aligned.stamps, BASE + np.arange(2))
+
+
+# --- fuzz: mutated files parse or fail with a LoadcastError, nothing else ------
+
+def _valid_files(tmp_path):
+    """A small valid load, weather and aligned.csv file, as bytes."""
+    write_load(tmp_path / "load.csv", [(_s(f"{h:02d}"), 40000 + h) for h in range(4)])
+    write_weather(tmp_path / "weather.csv",
+                  [_w(f"{h:02d}", z) for h in range(2) for z in range(8)])
+    write_aligned_csv(toy_series(3, seed=1), tmp_path / "aligned.csv")
+    return {kind: (tmp_path / f"{kind}.csv").read_bytes() for kind in READERS}
+
+
+def _mutate(data: bytes, draw) -> bytes:
+    if not data:
+        return data
+    op = draw(st.sampled_from(["flip", "truncate", "lines", "fields"]))
+    if op == "flip":
+        out = bytearray(data)
+        for _ in range(draw(st.integers(1, 4))):
+            out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+        return bytes(out)
+    if op == "truncate":
+        return data[:draw(st.integers(0, len(data)))]
+    lines = data.split(b"\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    if op == "lines":
+        if draw(st.booleans()):
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+        return b"\n".join(lines)
+    fields = lines[i].split(b",")
+    j = draw(st.integers(0, len(fields) - 1))
+    if draw(st.booleans()):
+        del fields[j]
+    else:
+        fields.insert(j, fields[j])
+    lines[i] = b",".join(fields)
+    return b"\n".join(lines)
+
+
+class TestFuzzReaders:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(sorted(READERS)), n_mutations=st.integers(1, 3),
+           data=st.data())
+    def test_mutated_file_parses_or_raises_loadcast_error(self, tmp_path, kind,
+                                                          n_mutations, data):
+        content = _valid_files(tmp_path)[kind]
+        for _ in range(n_mutations):
+            content = _mutate(content, data.draw)
+        path = tmp_path / f"mutated_{kind}.csv"
+        path.write_bytes(content)
+        try:
+            READERS[kind](path)
+        except LoadcastError:
+            return
+        # what the column checks accept, the per-row checks accept too
+        header, check_rows = {
+            "load": (ingest.LOAD_HEADER, ingest._raise_first_load_error),
+            "weather": (ingest.WEATHER_HEADER, ingest._raise_first_weather_error),
+            "aligned": (ingest.aligned_csv_header(), ingest._raise_first_aligned_error),
+        }[kind]
+        check_rows(ingest._read_rows(path, header))
