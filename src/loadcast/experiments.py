@@ -19,7 +19,9 @@ import dataclasses
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,11 @@ class GridRow:
     selector: FeatureSelector
     spec: ModelSpec
 
+    def __post_init__(self):  # the name becomes a directory under rows/
+        name = self.name
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise InvalidConfig(f"grid row name must be one path component, got {name!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentGrid:
@@ -70,6 +77,8 @@ class ExperimentGrid:
             raise InvalidConfig(f"duplicate grid row names in {self.name!r}")
         if self.style not in TABLE_STYLES:
             raise InvalidConfig(f"style must be one of {TABLE_STYLES}")
+        if not self.rows or not self.seeds:
+            raise InvalidConfig(f"grid {self.name!r} needs at least one row and one seed")
 
     def to_dict(self) -> dict:
         return {
@@ -114,13 +123,14 @@ def grid_from_config(doc: dict) -> ExperimentGrid:
         fractions = check_fractions(doc.get("split", DEFAULT_FRACTIONS))
     except (TypeError, ValueError) as exc:
         raise InvalidConfig(str(exc)) from None
+    if doc.get("split_mode", "chronological") != "chronological":
+        raise InvalidConfig(f"split_mode must be 'chronological', got {doc['split_mode']!r}")
     seeds = doc.get("seeds", DEFAULT_SEEDS)
     if not (isinstance(seeds, (list, tuple)) and all(
             isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
         raise InvalidConfig(f"seeds must be a list of integers, got {seeds!r}")
-    seeds = tuple(seeds)
     return ExperimentGrid(doc.get("name", "custom"), tuple(rows), window,
-                          fractions, seeds, doc.get("style", "table2"))
+                          fractions, tuple(seeds), doc.get("style", "table2"))
 
 
 def _feature_rows() -> list[tuple[str, FeatureSelector]]:
@@ -251,60 +261,48 @@ class GridReport:
         }
 
 
-def _result_from_report(row: str, seed: int, report: EvaluationReport) -> RowSeedResult:
-    return RowSeedResult(row, seed, report.mape_pct, report.r2, dict(report.tolerance))
-
-
 def _run_one(grid: ExperimentGrid, row: GridRow, seed: int, series: AlignedSeries,
              out_dir: Path) -> RowSeedResult:
     row_dir = out_dir / "rows" / row.name / f"seed{seed}"
-    model_path = row_dir / "model.lcst"
-    report_path = row_dir / "report.json"
-    spec = dataclasses.replace(row.spec, seed=seed)
+    model_path, report_path = row_dir / "model.lcst", row_dir / "report.json"
     try:
-        matrix = assemble(series, row.selector)
-        raw = build_windows(matrix, series.segments, series.stamps, grid.window)
-        ds = chronological_split(raw, grid.fractions)
-        reusable = False  # artifacts an earlier run of this same job left behind
-        if model_path.exists() and report_path.exists():
-            try:
-                saved = load_model(model_path)  # checksum + structure check
-                report = EvaluationReport.load_json(report_path)
-                reusable = (saved.spec == spec and saved.selector == row.selector
-                            == report.selector and saved.window == grid.window
-                            and report.n_samples == ds.n_test)
-            except (LoadcastError, ValueError, KeyError):
-                pass  # invalid leftovers; retrain
-        if not reusable:
-            model = train(ds, spec, row.selector)
+        try:  # run_grid has removed every artifact its record does not vouch for
+            load_model(model_path)  # checksum + structure check
+            report = EvaluationReport.load_json(report_path)
+        except (OSError, LoadcastError, ValueError, KeyError):  # missing or invalid: retrain
+            matrix = assemble(series, row.selector)
+            raw = build_windows(matrix, series.segments, series.stamps, grid.window)
+            ds = chronological_split(raw, grid.fractions)
+            model = train(ds, dataclasses.replace(row.spec, seed=seed), row.selector)
             report = evaluate(model, ds, "test")
             row_dir.mkdir(parents=True, exist_ok=True)
             save_model(model, model_path)
             report.save_json(report_path)
-        return _result_from_report(row.name, seed, report)
+        return RowSeedResult(row.name, seed, report.mape_pct, report.r2, dict(report.tolerance))
     except Exception as exc:  # record per-row failures, keep the run alive
         return RowSeedResult(row.name, seed, error=f"{type(exc).__name__}: {exc}")
 
 
-def _recorded_for_other_run(grid_json: Path, report: GridReport) -> bool:
-    """True when an earlier grid.json records other data or another split."""
+def _vouched_rows(record: Path, config_doc: dict, data_hash: str) -> set[str]:
+    """Names of this grid's rows that the earlier `record` lists unchanged, if
+    that record was made on the same data, window and split."""
     try:
-        doc = json.loads(grid_json.read_text())
-        return (doc["data_hash"] != report.data_hash
-                or doc["config"]["split"] != list(report.grid.fractions))
-    except FileNotFoundError:
-        return False
-    except (OSError, ValueError, KeyError, TypeError):
-        return True  # unreadable record: trust none of the artifacts
+        old = json.loads(record.read_text())
+        if (old["data_hash"], old["config"]["window"], old["config"]["split"]) == (
+                data_hash, config_doc["window"], config_doc["split"]):
+            return {row["name"] for row in config_doc["rows"] if row in old["config"]["rows"]}
+    except (OSError, ValueError, LookupError, TypeError):
+        pass  # no readable record: trust none of the artifacts
+    return set()
 
 
 def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
              workers: int = 1) -> GridReport:
     """Train/evaluate every (row, seed), persist artifacts, render tables.
 
-    Rows with existing valid artifacts are skipped, so an interrupted run
-    resumes where it stopped. When `out_dir/grid.json` records a run on other
-    data or another split, this grid's row artifacts are retrained instead.
+    `out_dir/grid.json` is written before the first job. A rerun reuses the
+    artifacts that load of each row that the earlier record lists unchanged,
+    on the same data, window and split; every other job retrains.
     """
     span = grid.window.span
     total = sum(max(0, length - span + 1) for _, length in series.segments)
@@ -322,26 +320,26 @@ def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
             json.dumps(config_doc, sort_keys=True).encode()).hexdigest(),
     )
 
-    jobs = [(row, seed) for row in grid.rows for seed in grid.seeds]
-    if _recorded_for_other_run(out_dir / "grid.json", report):
-        # the artifacts cannot tell which data or split trained them; with the
-        # record gone too, a run interrupted from here on resumes as a first run
-        for row, seed in jobs:
+    # Rows the earlier record does not vouch for lose their artifacts for every
+    # seed before this run's record replaces it, so a run stopped at any point
+    # leaves no artifact that a record falsely vouches for.
+    record = out_dir / "grid.json"
+    vouched = _vouched_rows(record, config_doc, report.data_hash)
+    for row in grid.rows:
+        if row.name not in vouched:
             for name in ("model.lcst", "report.json"):
-                (out_dir / "rows" / row.name / f"seed{seed}" / name).unlink(missing_ok=True)
-        (out_dir / "grid.json").unlink()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one, grid, row, seed, series, out_dir)
-                       for row, seed in jobs]
-            for (row, seed), fut in zip(jobs, futures):
-                report.results[(row.name, seed)] = fut.result()
-    else:
-        for row, seed in jobs:
-            report.results[(row.name, seed)] = _run_one(grid, row, seed, series, out_dir)
+                for path in (out_dir / "rows" / row.name).glob(f"seed*/{name}"):
+                    path.unlink()
+    record.write_text(json.dumps(report.to_json_dict(), sort_keys=True, indent=1))
 
-    (out_dir / "grid.json").write_text(
-        json.dumps(report.to_json_dict(), sort_keys=True, indent=1))
+    jobs = [(row, seed) for row in grid.rows for seed in grid.seeds]
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(
+            _run_one, repeat(grid), *zip(*jobs), repeat(series), repeat(out_dir))
+        for (row, seed), result in zip(jobs, results):
+            report.results[(row.name, seed)] = result
+
+    record.write_text(json.dumps(report.to_json_dict(), sort_keys=True, indent=1))
     try:
         text, csv_text = render_table(report, grid.style)
     except MissingRows:

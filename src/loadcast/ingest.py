@@ -179,7 +179,7 @@ def _readonly(array: np.ndarray) -> np.ndarray:
 
 
 def _read_rows(path, expected_header) -> list[list[str]]:
-    """The data rows of a CSV file (row i is line i + 2) after its header.
+    """The data rows of a CSV file after its header.
 
     Bytes that are not UTF-8 and rows the csv module rejects (such as a field
     over its size limit) are a MalformedRow on the line where they occur.
@@ -206,6 +206,19 @@ def _read_rows(path, expected_header) -> list[list[str]]:
 # Any failure, ValueError included, sends the rows through the per-row checks
 # below, which raise the error of the first bad row in file order, worded as
 # that row alone would be.
+
+def _numbered_rows(path):
+    """(physical line the row starts on, row) for each data row of a file that
+    `_read_rows` accepted; a quoted field may span lines, so only a second
+    read can tell. Used on the error path only."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        end = reader.line_num
+        for row in reader:
+            yield end + 1, row
+            end = reader.line_num
+
 
 def _columns(rows: list[list[str]], width: int) -> list[tuple[str, ...]]:
     """The `width` columns of the rows; ValueError if a row has another width."""
@@ -253,16 +266,16 @@ def _parse_float(text: str, line_no: int, what: str) -> float:
     return value
 
 
-def _raise_first_load_error(rows: list[list[str]]) -> None:
-    for line_no, row in enumerate(rows, start=2):
+def _raise_first_load_error(numbered) -> None:
+    for line_no, row in numbered:
         stamp = _row_stamp(row, len(LOAD_HEADER), line_no)
         if _parse_float(row[1], line_no, "load_mw") <= 0:
             raise NonPositiveLoad(format_hour(stamp))
 
 
-def _raise_first_weather_error(rows: list[list[str]]) -> None:
+def _raise_first_weather_error(numbered) -> None:
     seen: set[tuple[np.datetime64, int]] = set()
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in numbered:
         stamp = _row_stamp(row, len(WEATHER_HEADER), line_no)
         try:
             zone = int(row[1])
@@ -282,9 +295,9 @@ def _raise_first_weather_error(rows: list[list[str]]) -> None:
         seen.add((stamp, zone))
 
 
-def _raise_first_aligned_error(rows: list[list[str]]) -> None:
+def _raise_first_aligned_error(numbered) -> None:
     previous, width = None, len(aligned_csv_header())
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in numbered:
         stamp = _row_stamp(row, width, line_no)
         if previous is not None and stamp <= previous:
             if stamp == previous:
@@ -307,7 +320,7 @@ def parse_load_csv(path) -> LoadSeries:
         if not (loads > 0).all():
             raise ValueError("non-positive load")
     except ValueError:
-        _raise_first_load_error(rows)
+        _raise_first_load_error(_numbered_rows(path))
         raise
     order = np.argsort(stamps, kind="stable")
     stamps, loads = stamps[order], loads[order]
@@ -333,7 +346,7 @@ def parse_weather_csv(path) -> WeatherColumns:
         if not (np.diff(keys) > 0).all():
             raise ValueError("duplicate (stamp, zone) pair")
     except (ValueError, OverflowError):  # OverflowError: a zone_id beyond int64
-        _raise_first_weather_error(rows)
+        _raise_first_weather_error(_numbered_rows(path))
         raise
     return WeatherColumns(stamps[order], zones[order], values[order])
 
@@ -412,7 +425,7 @@ def read_aligned_csv(path) -> AlignedSeries:
         if not ((np.diff(stamps).astype(np.int64) > 0).all() and (values[:, 0] > 0).all()):
             raise ValueError("stamp out of order or non-positive load")
     except ValueError:
-        _raise_first_aligned_error(rows)
+        _raise_first_aligned_error(_numbered_rows(path))
         raise
     if not rows:
         raise EmptyIntersection("aligned file has no rows")

@@ -349,5 +349,17 @@ def load(path) -> TrainedModel:
         history = [(int(e), float(tr), float(va)) for e, tr, va in header["history"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptArtifact(f"malformed artifact header: {exc}") from None
+    t1, t2, channels = window.t1, window.t2, len(channel_names)
+    if spec.kind == "persistence":
+        expected = {}
+    elif spec.kind == "svr":
+        expected = {"svr_w": (t2, t1 * channels), "svr_b": (t2,)}
+    else:
+        expected = {name: value.shape for name, value
+                    in build_model(spec, t1, channels, t2).named_params().items()}
+    shapes = {name: value.shape for name, value in arrays.items()}
+    if shapes != expected:
+        wrong = sorted({name for name, _ in set(shapes.items()) ^ set(expected.items())})
+        raise CorruptArtifact(f"{spec.kind} artifact arrays do not fit its spec: {wrong}")
     return TrainedModel(spec, selector, window, norm, channel_names,
                         load_channel, arrays, history)

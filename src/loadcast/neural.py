@@ -22,11 +22,6 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _sigmoid(x):
-    # tanh form is overflow-safe for any argument sign
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 class Layer:
     """A forward/backward pair with named parameters and gradient buffers."""
 

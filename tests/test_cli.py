@@ -267,6 +267,11 @@ class TestGrid:
     @pytest.mark.parametrize("change", [
         {"rows": [{"name": "no_model", "features": {}}]},
         {"split": ["a", 1, 1]},
+        {"rows": [{"name": 5, "model": {"kind": "persistence"}}]},
+        # would write its artifacts outside --out
+        {"rows": [{"name": "../../escaped", "model": {"kind": "persistence"}}]},
+        {"seeds": []},
+        {"split_mode": "random"},
     ])
     def test_malformed_grid_config_rejected(self, aligned_csv, tmp_path, capsys, change):
         grid_cfg = {"name": "mini", "seeds": [0],
@@ -276,6 +281,7 @@ class TestGrid:
         code = main(["grid", str(cfg_path), str(aligned_csv), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "error[InvalidConfig]" in capsys.readouterr().err
+        assert not (tmp_path / "escaped").exists()
 
     def test_unknown_grid_name_lists_builtins(self, aligned_csv, tmp_path, capsys):
         code = main(["grid", "table9", str(aligned_csv), "--out", str(tmp_path)])

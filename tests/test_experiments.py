@@ -100,8 +100,23 @@ class TestGridConfig:
             grid_from_config(doc)
 
     def test_bad_split_rejected(self):
+        for change in ({"split": [0.5, 0.5]}, {"split_mode": "random"}):
+            doc = {**tiny_grid().to_dict(), **change}
+            with pytest.raises(InvalidConfig):
+                grid_from_config(doc)
+
+    def test_empty_seeds_rejected(self):
         doc = tiny_grid().to_dict()
-        doc["split"] = [0.5, 0.5]
+        doc["seeds"] = []
+        with pytest.raises(InvalidConfig):
+            grid_from_config(doc)
+        with pytest.raises(InvalidConfig):
+            tiny_grid(seeds=())
+
+    @pytest.mark.parametrize("name", [5, None, "", ".", "..", "/tmp/x", "a/b", "a\\b"])
+    def test_row_name_must_be_one_path_component(self, name):
+        doc = tiny_grid().to_dict()
+        doc["rows"][1]["name"] = name
         with pytest.raises(InvalidConfig):
             grid_from_config(doc)
 
@@ -136,6 +151,7 @@ class TestRunGrid:
             raise AssertionError("train must not run on resume")
 
         monkeypatch.setattr(experiments, "train", boom)
+        monkeypatch.setattr(experiments, "assemble", boom)
         second = run_grid(tiny_grid(), series, tmp_path)
         for key, result in second.results.items():
             assert result.error is None
@@ -175,17 +191,23 @@ class TestRunGrid:
             rel = path.relative_to(tmp_path / "fresh")
             assert (tmp_path / "reused" / rel).read_bytes() == path.read_bytes(), rel
 
-    @pytest.mark.parametrize("cut_record", [False, True], ids=["other-data", "cut-grid-json"])
-    def test_changed_data_retrains_every_row(self, tmp_path, cut_record):
+    @pytest.mark.parametrize("case", ["other-data", "cut-grid-json", "no-grid-json",
+                                      "other-seeds"])
+    def test_changed_data_retrains_every_row(self, tmp_path, case):
         # same length, so every window count and split size matches the first run
-        run_grid(tiny_grid(seeds=(0,)), toy_series(160, seed=1), tmp_path / "reused")
-        if cut_record:  # a grid.json cut short by an interrupted write names no data
-            record = tmp_path / "reused" / "grid.json"
+        seeds = (0, 1) if case == "other-seeds" else (0,)
+        record = tmp_path / "reused" / "grid.json"
+        run_grid(tiny_grid(seeds=seeds), toy_series(160, seed=1), tmp_path / "reused")
+        if case == "cut-grid-json":  # a grid.json cut short by an interrupted write names no data
             record.write_bytes(record.read_bytes()[:100])
-        run_grid(tiny_grid(seeds=(0,)), toy_series(160, seed=2), tmp_path / "reused")
-        run_grid(tiny_grid(seeds=(0,)), toy_series(160, seed=2), tmp_path / "fresh")
+        elif case == "no-grid-json":  # as if the first run stopped before writing it
+            record.unlink()
+        elif case == "other-seeds":  # a run of one seed on the new data comes between
+            run_grid(tiny_grid(seeds=(0,)), toy_series(160, seed=2), tmp_path / "reused")
+        run_grid(tiny_grid(seeds=seeds), toy_series(160, seed=2), tmp_path / "reused")
+        run_grid(tiny_grid(seeds=seeds), toy_series(160, seed=2), tmp_path / "fresh")
         files = [p for p in sorted((tmp_path / "fresh").rglob("*")) if p.is_file()]
-        assert len(files) == 2 * 2 + 3
+        assert len(files) == 2 * 2 * len(seeds) + 3
         for path in files:
             rel = path.relative_to(tmp_path / "fresh")
             assert (tmp_path / "reused" / rel).read_bytes() == path.read_bytes(), rel

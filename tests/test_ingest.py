@@ -477,6 +477,13 @@ ERROR_CASES = {
     "load-earlier-bad-float-wins": (
         "load", None, [f"{_s('00')},1", f"{_s('01')},abc", "bad,1"],
         MalformedRow, "line 3: bad load_mw: 'abc'", 3),
+    "load-line-after-multiline-field": (  # row 1's quoted load spans lines 2-3
+        "load", None, [f'{_s("00")},"1', '"', f"{_s('01')},abc"],
+        MalformedRow, "line 4: bad load_mw: 'abc'", 4),
+    "weather-line-after-multiline-field": (  # row 1's quoted temp spans lines 2-3
+        "weather", None, [f'{_s("00")},0,"290.0', '",1.0,2.0,300.0,100.0',
+                          _w("00", 1, temp="abc")],
+        MalformedRow, "line 4: bad temp_k: 'abc'", 4),
     "weather-bad-header": (
         "weather", "timestamp,zone", [_w("00", 0)],
         MalformedRow, f"line 1: expected header '{WEATHER_HEADER_TEXT}'", 1),
@@ -694,9 +701,9 @@ class TestFuzzReaders:
         except LoadcastError:
             return
         # what the column checks accept, the per-row checks accept too
-        header, check_rows = {
-            "load": (ingest.LOAD_HEADER, ingest._raise_first_load_error),
-            "weather": (ingest.WEATHER_HEADER, ingest._raise_first_weather_error),
-            "aligned": (ingest.aligned_csv_header(), ingest._raise_first_aligned_error),
+        check_rows = {
+            "load": ingest._raise_first_load_error,
+            "weather": ingest._raise_first_weather_error,
+            "aligned": ingest._raise_first_aligned_error,
         }[kind]
-        check_rows(ingest._read_rows(path, header))
+        check_rows(ingest._numbered_rows(path))

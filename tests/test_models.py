@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from loadcast.artifact import read_artifact, write_artifact
 from loadcast.dataset import (
     WindowConfig,
     WindowedDataset,
@@ -333,4 +334,25 @@ class TestSaveLoad:
         path = tmp_path / "model.lcst"
         path.write_bytes(b"NOPE" + bytes(64))
         with pytest.raises(CorruptArtifact):
+            load(path)
+
+    @pytest.mark.parametrize("kind,change", [
+        ("persistence", lambda arrays: {**arrays, "svr_b": np.zeros(4)}),
+        ("svr", lambda arrays: {}),
+        ("svr", lambda arrays: {**arrays, "svr_w": arrays["svr_w"][:, :-1]}),
+        ("svr", lambda arrays: {"svr_w": arrays["svr_w"]}),
+        ("fcnn", lambda arrays: dict(sorted(arrays.items())[1:])),
+        ("fcnn", lambda arrays: {k: v.T for k, v in arrays.items()}),
+        ("lstm", lambda arrays: {**arrays, "layer9.W": np.zeros((2, 2))}),
+    ], ids=["persistence-extra", "svr-none", "svr-narrowed-w", "svr-no-bias",
+            "fcnn-missing", "fcnn-transposed", "lstm-extra"])
+    def test_arrays_that_do_not_fit_the_spec_rejected(self, tmp_path, kind, change):
+        _, ds = small_dataset(120)
+        spec = ModelSpec(kind=kind, fcnn_hidden=(8,), lstm_hidden=4, lstm_layers=1,
+                         dense_size=8, epochs=1, svr_mode="ridge")
+        path = tmp_path / "model.lcst"
+        save(train(ds, spec, FeatureSelector()), path)
+        header, arrays = read_artifact(path)
+        write_artifact(path, header, change(arrays))  # re-signed: the checksum holds
+        with pytest.raises(CorruptArtifact, match="do not fit its spec"):
             load(path)
