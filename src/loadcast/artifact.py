@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .codec import replace_atomically
 from .errors import CorruptArtifact, VersionMismatch
 
 MAGIC = b"LCST"
@@ -39,7 +41,8 @@ def write_artifact(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
         buf += struct.pack(f"<{data.ndim}I", *data.shape)
         buf += data.tobytes()
     buf += hashlib.sha256(bytes(buf)).digest()
-    Path(path).write_bytes(bytes(buf))
+    with replace_atomically(path) as tmp:
+        tmp.write_bytes(bytes(buf))
 
 
 class _Reader:
@@ -77,18 +80,21 @@ def read_artifact(path) -> tuple[dict, dict[str, np.ndarray]]:
     header_len = reader.u32()
     try:
         header = json.loads(reader.take(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise CorruptArtifact(f"bad header: {exc}") from None
     arrays: dict[str, np.ndarray] = {}
     count = reader.u32()
     for _ in range(count):
-        name = reader.take(reader.u32()).decode("utf-8")
+        try:
+            name = reader.take(reader.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptArtifact(f"bad array name: {exc}") from None
         ndim = reader.u32()
         if ndim > 8:
             raise CorruptArtifact(f"implausible array rank {ndim}")
         shape = tuple(reader.u32() for _ in range(ndim))
-        size = int(np.prod(shape)) if shape else 1
-        values = np.frombuffer(reader.take(size * 8), dtype="<f8").reshape(shape)
+        # a Python int: numpy's int64 product of large dims wraps around
+        values = np.frombuffer(reader.take(math.prod(shape) * 8), dtype="<f8").reshape(shape)
         arrays[name] = values.astype(np.float64)
     if reader.pos != len(body):
         raise CorruptArtifact("trailing bytes after array sections")

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import from_json, replace_atomically, to_json, write_json
 from .dataset import (
     DEFAULT_FRACTIONS,
     SPLITS,
@@ -34,12 +35,12 @@ from .synthetic import generate_synthetic
 
 #: ModelSpec fields that the run config lists under "training"; the rest go under "model"
 _TRAINING_KEYS = ("epochs", "batch_size", "patience", "base_lr", "lr_decay", "seed")
-_SPEC_DEFAULTS = ModelSpec(kind="lstm").to_dict()
+_SPEC_DEFAULTS = to_json(ModelSpec(kind="lstm"))
 
 _CONFIG_DEFAULTS = {
     "data": {"aligned": None, "load": None, "weather": None},
-    "window": dataclasses.asdict(WindowConfig()),
-    "features": all_features().to_dict(),
+    "window": to_json(WindowConfig()),
+    "features": to_json(all_features()),
     "model": {k: v for k, v in _SPEC_DEFAULTS.items() if k not in _TRAINING_KEYS},
     "training": {k: _SPEC_DEFAULTS[k] for k in _TRAINING_KEYS},
     "split": dict(zip(SPLITS, DEFAULT_FRACTIONS)),
@@ -77,10 +78,10 @@ def resolve_config(doc: dict) -> dict:
 def _build_run(resolved: dict):
     """Validate a resolved config into (window, selector, spec, fractions)."""
     try:
-        window = WindowConfig(**resolved["window"])
-        selector = FeatureSelector.from_dict(resolved["features"])
+        window = from_json(WindowConfig, resolved["window"])
+        selector = from_json(FeatureSelector, resolved["features"])
         fractions = check_fractions([resolved["split"][s] for s in SPLITS])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
     spec = ModelSpec.from_dict({**resolved["model"], **resolved["training"]})
     return window, selector, spec, fractions
@@ -138,10 +139,11 @@ def cmd_train(args) -> int:
 
     out_dir = Path(resolved["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(json.dumps(resolved, sort_keys=True, indent=1))
+    write_json(out_dir / "config.json", resolved)
     model_path = out_dir / "model.lcst"
     save_model(model, model_path)
-    with open(out_dir / "history.csv", "w", newline="", encoding="utf-8") as fh:
+    with (replace_atomically(out_dir / "history.csv") as tmp,
+          open(tmp, "w", newline="", encoding="utf-8") as fh):
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_loss"])
         for epoch, tr, va in model.history:

@@ -1,0 +1,117 @@
+"""One JSON form for loadcast's records (dataclasses), and atomic file writes.
+
+`from_json` checks each value against its field's annotation instead of
+coercing it; an int may stand for a float, and a missing field takes its
+default. Non-string dict keys are written as their `repr` (``"1.0"``).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import os
+import reprlib
+import types
+import typing
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+
+
+@functools.cache
+def _fields(cls) -> dict[str, tuple[str, object, bool]]:
+    """Field name -> (annotation text, resolved type, required) of a record class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (f.type, hints[f.name], f.default is dataclasses.MISSING
+                     and f.default_factory is dataclasses.MISSING)
+            for f in dataclasses.fields(cls)}
+
+
+def to_json(value):
+    """The JSON form of a record, or of any value inside one."""
+    if dataclasses.is_dataclass(value):
+        return {name: to_json(getattr(value, name)) for name in _fields(type(value))}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k if isinstance(k, str) else repr(k): to_json(v) for k, v in value.items()}
+    return value
+
+
+def from_json(cls, doc):
+    """Read a `cls` record; ValueError names the record and the bad field."""
+    fields = _fields(cls)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} must be an object, got {reprlib.repr(doc)}")
+    unknown = doc.keys() - fields.keys()
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    missing = [name for name, (_, _, required) in fields.items() if required and name not in doc]
+    if missing:
+        raise ValueError(f"{cls.__name__} needs {missing}")
+    kwargs = {}
+    for name, value in doc.items():
+        text, tp, _ = fields[name]
+        try:
+            kwargs[name] = _read(tp, value)
+        except ValueError:
+            raise ValueError(
+                f"{cls.__name__}.{name} must be {text}, got {reprlib.repr(value)}") from None
+    return cls(**kwargs)
+
+
+def _read(tp, value):
+    """`value` as annotation `tp`; ValueError when it is not of that type."""
+    if tp is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return value
+    elif tp in (bool, int, str):
+        if type(value) is tp:
+            return value
+    elif tp is np.ndarray:
+        if isinstance(value, list):
+            array = np.array(value)  # ragged lists raise ValueError
+            if array.ndim == 1 and array.dtype.kind in "iuf":
+                return array.astype(np.float64)
+    elif dataclasses.is_dataclass(tp):
+        return from_json(tp, value)
+    else:
+        origin, args = typing.get_origin(tp), typing.get_args(tp)
+        if origin is types.UnionType:  # X | None
+            return None if value is None else _read(args[0], value)
+        if origin in (tuple, list) and isinstance(value, (list, tuple)):
+            kinds = args if origin is tuple and args[-1] is not ... else [args[0]] * len(value)
+            if len(kinds) == len(value):
+                return origin(map(_read, kinds, value))
+        elif origin is dict and isinstance(value, dict):
+            key = str if args[0] is str else float
+            return {key(k): _read(args[1], v) for k, v in value.items()}
+    raise ValueError
+
+
+@contextmanager
+def replace_atomically(path):
+    """Yield a temporary path beside `path` that replaces it when the block
+    ends normally; an interrupted write leaves `path` as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_text(path, text: str) -> None:
+    """Replace `path` atomically with `text`."""
+    with replace_atomically(path) as tmp:
+        tmp.write_text(text)
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as sorted, indented JSON, replacing `path` atomically."""
+    write_text(path, json.dumps(doc, sort_keys=True, indent=1))

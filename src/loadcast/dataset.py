@@ -25,9 +25,8 @@ class WindowConfig:
     t2: int = 4
 
     def __post_init__(self):
-        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                   for v in (self.t1, self.t2)):
-            raise ValueError(f"t1 and t2 must be integers >= 1, got {self.t1!r}, {self.t2!r}")
+        if min(self.t1, self.t2) < 1:
+            raise ValueError(f"t1 and t2 must be >= 1, got {self.t1!r}, {self.t2!r}")
 
     @property
     def span(self) -> int:
@@ -197,21 +196,3 @@ class Normalizer:
         if span == 0:
             return np.full_like(np.asarray(y, dtype=np.float64), self.target_min)
         return np.asarray(y, dtype=np.float64) * span + self.target_min
-
-    def to_dict(self) -> dict:
-        self._require_fitted()
-        return {
-            "channel_min": [float(v) for v in self.channel_min],
-            "channel_max": [float(v) for v in self.channel_max],
-            "target_min": self.target_min,
-            "target_max": self.target_max,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Normalizer":
-        return cls(
-            np.array(doc["channel_min"], dtype=np.float64),
-            np.array(doc["channel_max"], dtype=np.float64),
-            float(doc["target_min"]),
-            float(doc["target_max"]),
-        )

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import from_json, replace_atomically, to_json, write_json
 from .dataset import WindowedDataset
 from .errors import (
     DegenerateActual,
@@ -108,48 +109,16 @@ class EvaluationReport:
     predicted: np.ndarray
     actual: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model_kind": self.model_kind,
-            "selector": self.selector.to_dict(),
-            "split": self.split,
-            "n_samples": self.n_samples,
-            "n_points": self.n_points,
-            "mape_pct": self.mape_pct,
-            "r2": self.r2,
-            "degenerate_actual": self.degenerate_actual,
-            "tolerance": {repr(k): v for k, v in self.tolerance.items()},
-            "tolerance_per_sample": {repr(k): v for k, v in self.tolerance_per_sample.items()},
-            "ape_pct": [float(v) for v in self.ape_pct],
-            "predicted": [float(v) for v in self.predicted],
-            "actual": [float(v) for v in self.actual],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "EvaluationReport":
-        return cls(
-            model_kind=doc["model_kind"],
-            selector=FeatureSelector.from_dict(doc["selector"]),
-            split=doc["split"],
-            n_samples=int(doc["n_samples"]),
-            n_points=int(doc["n_points"]),
-            mape_pct=float(doc["mape_pct"]),
-            r2=None if doc["r2"] is None else float(doc["r2"]),
-            degenerate_actual=bool(doc["degenerate_actual"]),
-            tolerance={float(k): float(v) for k, v in doc["tolerance"].items()},
-            tolerance_per_sample={float(k): float(v)
-                                  for k, v in doc["tolerance_per_sample"].items()},
-            ape_pct=np.array(doc["ape_pct"], dtype=np.float64),
-            predicted=np.array(doc["predicted"], dtype=np.float64),
-            actual=np.array(doc["actual"], dtype=np.float64),
-        )
+    def __post_init__(self):  # grid results and tables read exactly these thresholds
+        if not set(self.tolerance) == set(self.tolerance_per_sample) == set(TOLERANCE_THRESHOLDS):
+            raise ValueError(f"tolerance thresholds must be {TOLERANCE_THRESHOLDS}")
 
     def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True, indent=1))
+        write_json(path, to_json(self))
 
     @classmethod
     def load_json(cls, path) -> "EvaluationReport":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return from_json(cls, json.loads(Path(path).read_text()))
 
 
 def evaluate(model: TrainedModel, dataset: WindowedDataset, split: str) -> EvaluationReport:
@@ -186,42 +155,37 @@ def evaluate(model: TrainedModel, dataset: WindowedDataset, split: str) -> Evalu
 PLOT_KINDS = ("scatter_load_vs_weather", "pred_vs_actual", "error_histogram")
 
 
-def emit_plot_data(obj, kind: str, path, selector: FeatureSelector | None = None,
-                   bins: int = 50) -> None:
+def emit_plot_data(obj, kind: str, path, selector: FeatureSelector | None = None) -> None:
     """Write plot-ready CSV data.
 
     Kinds:
         pred_vs_actual      (EvaluationReport) one row per predicted point.
-        error_histogram     (EvaluationReport) bin edges + counts of the
-                            absolute percentage errors.
+        error_histogram     (EvaluationReport) 50 equal-width bins of the
+                            absolute percentage errors: edges + counts.
         scatter_load_vs_weather (AlignedSeries) load against each selected
                             weather channel, one row per aligned hour.
     """
-    path = Path(path)
-    if kind == "pred_vs_actual":
-        report: EvaluationReport = obj
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+    if kind not in PLOT_KINDS:
+        raise UnknownKind(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
+    with replace_atomically(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if kind == "pred_vs_actual":
+            report: EvaluationReport = obj
             writer.writerow(["predicted_mw", "actual_mw"])
             for p, a in zip(report.predicted, report.actual):
                 writer.writerow([repr(float(p)), repr(float(a))])
-    elif kind == "error_histogram":
-        report = obj
-        counts, edges = np.histogram(report.ape_pct, bins=bins)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+        elif kind == "error_histogram":
+            counts, edges = np.histogram(obj.ape_pct, bins=50)
             writer.writerow(["bin_left_pct", "bin_right_pct", "count"])
             for i, count in enumerate(counts):
                 writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(count)])
-    elif kind == "scatter_load_vs_weather":
-        series: AlignedSeries = obj
-        if selector is None:
-            selector = FeatureSelector(include_load=False,
-                                       weather_features=("temp", "swrad", "lwrad", "wind"))
-        names = [f"z{z}_{w}" for w in selector.weather_features for z in selector.zones]
-        from .features import _ZONE_COL  # canonical weather column mapping
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+        else:
+            series: AlignedSeries = obj
+            if selector is None:
+                selector = FeatureSelector(include_load=False,
+                                           weather_features=("temp", "swrad", "lwrad", "wind"))
+            names = [f"z{z}_{w}" for w in selector.weather_features for z in selector.zones]
+            from .features import _ZONE_COL  # canonical weather column mapping
             writer.writerow(["load_mw"] + names)
             for i in range(len(series)):
                 row = [repr(float(series.load_mw[i]))]
@@ -229,5 +193,3 @@ def emit_plot_data(obj, kind: str, path, selector: FeatureSelector | None = None
                     col = _ZONE_COL[w]
                     row.extend(repr(float(series.weather[i, z, col])) for z in selector.zones)
                 writer.writerow(row)
-    else:
-        raise UnknownKind(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")

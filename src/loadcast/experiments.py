@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .codec import from_json, to_json, write_json, write_text
 from .dataset import (
     DEFAULT_FRACTIONS,
     WindowConfig,
@@ -84,12 +85,12 @@ class ExperimentGrid:
         return {
             "name": self.name,
             "style": self.style,
-            "window": {"t1": self.window.t1, "t2": self.window.t2},
+            "window": to_json(self.window),
             "split": list(self.fractions),
             "split_mode": "chronological",
             "seeds": list(self.seeds),
             "rows": [
-                {"name": r.name, "features": r.selector.to_dict(), "model": r.spec.to_dict()}
+                {"name": r.name, "features": to_json(r.selector), "model": to_json(r.spec)}
                 for r in self.rows
             ],
         }
@@ -97,31 +98,26 @@ class ExperimentGrid:
 
 def grid_from_config(doc: dict) -> ExperimentGrid:
     """Build a grid from a parsed JSON document; unknown keys are rejected."""
-    if not isinstance(doc, dict):
-        raise InvalidConfig("grid config must be a JSON object")
-    known = {"name", "style", "window", "split", "split_mode", "seeds", "rows"}
-    unknown = set(doc) - known
-    if unknown:
-        raise InvalidConfig(f"unknown grid keys: {sorted(unknown)}")
-    if not isinstance(doc.get("rows"), list) or not doc["rows"]:
-        raise InvalidConfig("grid config needs a non-empty 'rows' list")
-    rows = []
-    for entry in doc["rows"]:
-        if not isinstance(entry, dict) or not {"name", "model"} <= set(entry):
-            raise InvalidConfig(f"grid row needs 'name' and 'model': {entry!r}")
-        extra = set(entry) - {"name", "features", "model"}
-        if extra:
-            raise InvalidConfig(f"unknown row keys: {sorted(extra)}")
-        try:
-            selector = FeatureSelector.from_dict(entry.get("features", {}))
-        except ValueError as exc:
-            raise InvalidConfig(str(exc)) from None
-        spec = ModelSpec.from_dict(entry["model"])
-        rows.append(GridRow(entry["name"], selector, spec))
     try:
-        window = WindowConfig(**doc.get("window", {}))
+        if not isinstance(doc, dict):
+            raise InvalidConfig("grid config must be a JSON object")
+        unknown = set(doc) - {"name", "style", "window", "split", "split_mode", "seeds", "rows"}
+        if unknown:
+            raise InvalidConfig(f"unknown grid keys: {sorted(unknown)}")
+        if not isinstance(doc.get("rows"), list) or not doc["rows"]:
+            raise InvalidConfig("grid config needs a non-empty 'rows' list")
+        rows = []
+        for entry in doc["rows"]:
+            if not isinstance(entry, dict) or not {"name", "model"} <= set(entry):
+                raise InvalidConfig(f"grid row needs 'name' and 'model': {entry!r}")
+            extra = set(entry) - {"name", "features", "model"}
+            if extra:
+                raise InvalidConfig(f"unknown row keys: {sorted(extra)}")
+            selector = from_json(FeatureSelector, entry.get("features", {}))
+            rows.append(GridRow(entry["name"], selector, ModelSpec.from_dict(entry["model"])))
+        window = from_json(WindowConfig, doc.get("window", {}))
         fractions = check_fractions(doc.get("split", DEFAULT_FRACTIONS))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:  # from the records' readers and check_fractions
         raise InvalidConfig(str(exc)) from None
     if doc.get("split_mode", "chronological") != "chronological":
         raise InvalidConfig(f"split_mode must be 'chronological', got {doc['split_mode']!r}")
@@ -199,15 +195,6 @@ class RowSeedResult:
     tolerance: dict[float, float] | None = None
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "mape_pct": self.mape_pct,
-            "r2": self.r2,
-            "tolerance": None if self.tolerance is None
-            else {repr(k): v for k, v in self.tolerance.items()},
-            "error": self.error,
-        }
-
 
 @dataclass
 class GridReport:
@@ -245,13 +232,10 @@ class GridReport:
             per_seed = {}
             for seed in self.grid.seeds:
                 result = self.results.get((row.name, seed))
-                if result is not None:
-                    per_seed[str(seed)] = result.to_dict()
-            agg = self.aggregate(row.name)
-            if agg is not None:
-                agg = dict(agg)
-                agg["tolerance_mean"] = {repr(k): v for k, v in agg["tolerance_mean"].items()}
-            rows[row.name] = {"per_seed": per_seed, "aggregate": agg}
+                if result is not None:  # row and seed are the keys it is filed under
+                    per_seed[str(seed)] = {k: v for k, v in to_json(result).items()
+                                           if k not in ("row", "seed")}
+            rows[row.name] = {"per_seed": per_seed, "aggregate": to_json(self.aggregate(row.name))}
         return {
             "config": self.grid.to_dict(),
             "config_hash": self.config_hash,
@@ -269,7 +253,7 @@ def _run_one(grid: ExperimentGrid, row: GridRow, seed: int, series: AlignedSerie
         try:  # run_grid has removed every artifact its record does not vouch for
             load_model(model_path)  # checksum + structure check
             report = EvaluationReport.load_json(report_path)
-        except (OSError, LoadcastError, ValueError, KeyError):  # missing or invalid: retrain
+        except (OSError, LoadcastError, ValueError, RecursionError):  # missing or invalid: retrain
             matrix = assemble(series, row.selector)
             raw = build_windows(matrix, series.segments, series.stamps, grid.window)
             ds = chronological_split(raw, grid.fractions)
@@ -330,7 +314,7 @@ def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
             for name in ("model.lcst", "report.json"):
                 for path in (out_dir / "rows" / row.name).glob(f"seed*/{name}"):
                     path.unlink()
-    record.write_text(json.dumps(report.to_json_dict(), sort_keys=True, indent=1))
+    write_json(record, report.to_json_dict())
 
     jobs = [(row, seed) for row in grid.rows for seed in grid.seeds]
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
@@ -339,15 +323,15 @@ def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
         for (row, seed), result in zip(jobs, results):
             report.results[(row.name, seed)] = result
 
-    record.write_text(json.dumps(report.to_json_dict(), sort_keys=True, indent=1))
+    write_json(record, report.to_json_dict())
     try:
         text, csv_text = render_table(report, grid.style)
     except MissingRows:
         return report  # every row failed; grid.json carries the record
     tables = out_dir / "tables"
     tables.mkdir(exist_ok=True)
-    (tables / f"{grid.style}.txt").write_text(text)
-    (tables / f"{grid.style}.csv").write_text(csv_text)
+    write_text(tables / f"{grid.style}.txt", text)
+    write_text(tables / f"{grid.style}.csv", csv_text)
     return report
 
 

@@ -78,36 +78,6 @@ class FeatureSelector:
             names.extend(f"z{z}_{w}" for z in self.zones)
         return tuple(names)
 
-    def to_dict(self) -> dict:
-        return {
-            "include_load": self.include_load,
-            "time_features": list(self.time_features),
-            "weather_features": list(self.weather_features),
-            "zones": list(self.zones),
-            "time_encoding": self.time_encoding,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FeatureSelector":
-        if not isinstance(doc, dict):
-            raise ValueError(f"feature selector must be an object, got {doc!r}")
-        known = {"include_load", "time_features", "weather_features", "zones", "time_encoding"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown FeatureSelector keys: {sorted(unknown)}")
-        if not isinstance(doc.get("include_load", True), bool):
-            raise ValueError(f"include_load must be true or false, got {doc['include_load']!r}")
-        kwargs = dict(doc)
-        for key, item in (("time_features", str), ("weather_features", str), ("zones", int)):
-            if key in kwargs:
-                value = kwargs[key]
-                if not (isinstance(value, (list, tuple)) and all(
-                        isinstance(v, item) and not isinstance(v, bool) for v in value)):
-                    raise ValueError(f"{key} must be a list of {item.__name__}, got {value!r}")
-                kwargs[key] = tuple(value)
-        return cls(**kwargs)
-
-
 def all_features(time_encoding: str = "scalar") -> FeatureSelector:
     """Load plus every time and weather feature over all 8 zones."""
     return FeatureSelector(

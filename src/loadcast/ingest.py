@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import os
 import re
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime
@@ -22,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import replace_atomically
 from .errors import (
     DuplicateTimestamp,
     DuplicateZoneHour,
@@ -397,22 +397,15 @@ def aligned_csv_header() -> list[str]:
 def write_aligned_csv(series: AlignedSeries, path) -> None:
     """Serialize with shortest round-trip float formatting (exact re-parse).
 
-    The rows go to a temporary file beside `path` that then replaces it, so an
-    interrupted write leaves the earlier file, if any, as it was.
+    The file is replaced atomically: an interrupted write leaves the earlier
+    file, if any, as it was.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     values = np.column_stack([series.load_mw, series.weather.reshape(len(series), -1)])
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(aligned_csv_header())
-            writer.writerows(zip(format_hour(series.stamps).tolist(),
-                                 *(map(repr, col) for col in values.T.tolist())))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replace_atomically(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(aligned_csv_header())
+        writer.writerows(zip(format_hour(series.stamps).tolist(),
+                             *(map(repr, col) for col in values.T.tolist())))
 
 
 def read_aligned_csv(path) -> AlignedSeries:

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import svr as svr_solvers
 from .artifact import read_artifact, write_artifact
+from .codec import from_json, to_json
 from .dataset import Normalizer, WindowConfig, WindowedDataset
 from .errors import (
     CorruptArtifact,
@@ -30,19 +31,6 @@ from .ingest import AlignedSeries, format_hour
 from .neural import LSTM, Adam, Conv1D, Dense, Dropout, Flatten, Network, mse_loss
 
 MODEL_KINDS = ("persistence", "svr", "fcnn", "lstm", "lrcn")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-#: ModelSpec field annotation -> check applied to values read from outside
-_TYPE_CHECKS = {
-    "str": lambda v: isinstance(v, str),
-    "int": _is_int,
-    "float": lambda v: _is_int(v) or isinstance(v, float),
-    "tuple[int, ...]": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
-}
 
 
 @dataclass(frozen=True)
@@ -87,29 +75,19 @@ class ModelSpec:
             raise InvalidSpec("epochs and batch_size must be >= 1")
         if self.patience < 0:
             raise InvalidSpec("patience must be >= 0")
-
-    def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["fcnn_hidden"] = list(self.fcnn_hidden)
-        return doc
+        for name in ("lstm_hidden", "lstm_layers", "conv_filters", "conv_kernel",
+                     "conv_layers", "dense_size"):
+            if getattr(self, name) < 1:
+                raise InvalidSpec(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(width < 1 for width in self.fcnn_hidden):
+            raise InvalidSpec(f"fcnn_hidden widths must be >= 1, got {self.fcnn_hidden}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelSpec":
-        if not isinstance(doc, dict):
-            raise InvalidSpec(f"model spec must be an object, got {doc!r}")
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(doc) - set(types)
-        if unknown:
-            raise InvalidSpec(f"unknown ModelSpec keys: {sorted(unknown)}")
-        if "kind" not in doc:
-            raise InvalidSpec(f"model spec needs a 'kind', one of {MODEL_KINDS}")
-        for name, value in doc.items():
-            if not _TYPE_CHECKS[types[name]](value):
-                raise InvalidSpec(f"{name} must be of type {types[name]}, got {value!r}")
-        kwargs = dict(doc)
-        if "fcnn_hidden" in kwargs:
-            kwargs["fcnn_hidden"] = tuple(kwargs["fcnn_hidden"])
-        return cls(**kwargs)
+        try:
+            return from_json(cls, doc)
+        except ValueError as exc:
+            raise InvalidSpec(str(exc)) from None
 
 
 @dataclass
@@ -320,36 +298,32 @@ def predict_at(model: TrainedModel, series: AlignedSeries, end: np.datetime64) -
     # stamps strictly increase, so t1 rows span t1 - 1 hours only without a gap
     if series.stamps[end_idx] - series.stamps[start_idx] != t1 - 1:
         raise NotContiguous(f"the {t1} hours ending at {format_hour(end)} cross a gap")
-    matrix = assemble(series, model.selector)
-    return predict_batch(model, matrix.values[None, start_idx:end_idx + 1])[0]
+    rows = slice(start_idx, end_idx + 1)  # features are per row: assemble only these
+    hours = AlignedSeries(series.stamps[rows], series.load_mw[rows], series.weather[rows])
+    return predict_batch(model, assemble(hours, model.selector).values[None])[0]
 
 
 def save(model: TrainedModel, path) -> None:
-    header = {
-        "spec": model.spec.to_dict(),
-        "selector": model.selector.to_dict(),
-        "window": {"t1": model.window.t1, "t2": model.window.t2},
-        "normalizer": model.normalizer.to_dict(),
-        "channel_names": list(model.channel_names),
-        "load_channel": model.load_channel,
-        "history": [[e, tr, va] for e, tr, va in model.history],
-    }
+    """Write the model as a `model.lcst` artifact: every field but `params`
+    in the JSON header, `params` as binary arrays."""
+    header = to_json(dataclasses.replace(model, params={}))
+    del header["params"]
     write_artifact(path, header, model.params)
 
 
 def load(path) -> TrainedModel:
     header, arrays = read_artifact(path)
     try:
-        spec = ModelSpec.from_dict(header["spec"])
-        selector = FeatureSelector.from_dict(header["selector"])
-        window = WindowConfig(**header["window"])
-        norm = Normalizer.from_dict(header["normalizer"])
-        channel_names = tuple(header["channel_names"])
-        load_channel = int(header["load_channel"])
-        history = [(int(e), float(tr), float(va)) for e, tr, va in header["history"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        model = from_json(TrainedModel, header)
+    except (ValueError, InvalidSpec) as exc:
         raise CorruptArtifact(f"malformed artifact header: {exc}") from None
-    t1, t2, channels = window.t1, window.t2, len(channel_names)
+    spec, names, norm = model.spec, model.selector.channel_names(), model.normalizer
+    if (model.channel_names != names or "load" not in names
+            or model.load_channel != names.index("load")
+            or any(v is None or len(v) != len(names) for v in (norm.channel_min, norm.channel_max))
+            or norm.target_min is None or norm.target_max is None):
+        raise CorruptArtifact("artifact channels or normalizer do not fit its feature selector")
+    t1, t2, channels = model.window.t1, model.window.t2, len(names)
     if spec.kind == "persistence":
         expected = {}
     elif spec.kind == "svr":
@@ -361,5 +335,5 @@ def load(path) -> TrainedModel:
     if shapes != expected:
         wrong = sorted({name for name, _ in set(shapes.items()) ^ set(expected.items())})
         raise CorruptArtifact(f"{spec.kind} artifact arrays do not fit its spec: {wrong}")
-    return TrainedModel(spec, selector, window, norm, channel_names,
-                        load_channel, arrays, history)
+    model.params = arrays
+    return model

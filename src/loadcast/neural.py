@@ -358,13 +358,11 @@ class Adam:
     """Adam with bias correction; effective lr at epoch e is
     base_lr * decay_rate**e."""
 
-    def __init__(self, base_lr: float = 1e-3, decay_rate: float = 0.96,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, base_lr: float = 1e-3, decay_rate: float = 0.96):
         self.base_lr = base_lr
         self.decay_rate = decay_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -376,7 +374,7 @@ class Adam:
              epoch: int = 0) -> None:
         lr = self.effective_lr(epoch)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for key, p in params.items():
@@ -389,4 +387,4 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)

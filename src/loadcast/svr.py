@@ -38,9 +38,12 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float = 1e-6) -> tuple[np.ndarr
     return beta[:d], float(beta[d])
 
 
+#: step size, relative plateau tolerance, and iterations per convergence check
+_LR, _TOL, _CHECK_EVERY = 0.003, 1e-3, 250
+
+
 def fit_epsilon(x: np.ndarray, y: np.ndarray, epsilon: float = 0.01, c: float = 1.0,
-                max_iter: int = 20000, lr: float = 0.003, tol: float = 1e-3,
-                check_every: int = 250) -> tuple[np.ndarray, float]:
+                max_iter: int = 20000) -> tuple[np.ndarray, float]:
     """Adaptive subgradient descent on the epsilon-insensitive objective.
 
     Deterministic and full-batch: every iteration takes one subgradient of
@@ -48,9 +51,9 @@ def fit_epsilon(x: np.ndarray, y: np.ndarray, epsilon: float = 0.01, c: float = 
     unchanged) and steps each coordinate by lr scaled with running first and
     second moments of the subgradients. The best objective seen is tracked
     because subgradient steps are not monotone; convergence is declared after
-    two consecutive `check_every`-iteration windows whose best-objective
-    improvement falls below `tol` (relative). Raises NonConvergence when
-    max_iter is exceeded first.
+    two consecutive 250-iteration windows whose best-objective improvement
+    falls below 1e-3 (relative). Raises NonConvergence when max_iter is
+    exceeded first.
 
     Returns the (w, b) with the best objective visited.
     """
@@ -76,9 +79,9 @@ def fit_epsilon(x: np.ndarray, y: np.ndarray, epsilon: float = 0.01, c: float = 
         if obj < best:
             best, best_w, best_b = obj, w.copy(), b
 
-        if t % check_every == 0:
+        if t % _CHECK_EVERY == 0:
             improved = window_start - best
-            if improved <= tol * max(abs(window_start), 1e-12):
+            if improved <= _TOL * max(abs(window_start), 1e-12):
                 quiet_windows += 1
                 if quiet_windows >= 2:
                     return best_w, best_b
@@ -95,7 +98,7 @@ def fit_epsilon(x: np.ndarray, y: np.ndarray, epsilon: float = 0.01, c: float = 
         v_b = beta2 * v_b + (1.0 - beta2) * g_b * g_b
         bc1 = 1.0 - beta1 ** t
         bc2 = 1.0 - beta2 ** t
-        w = w - lr * (m_w / bc1) / (np.sqrt(v_w / bc2) + eps_hat)
-        b = b - lr * (m_b / bc1) / (np.sqrt(v_b / bc2) + eps_hat)
+        w = w - _LR * (m_w / bc1) / (np.sqrt(v_w / bc2) + eps_hat)
+        b = b - _LR * (m_b / bc1) / (np.sqrt(v_b / bc2) + eps_hat)
     raise NonConvergence(
         f"epsilon-mode solver did not plateau within {max_iter} iterations")

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import replace_atomically
 from .errors import InvalidConfig
 from .ingest import cst_to_utc, format_hour
 
@@ -100,13 +101,14 @@ def generate_synthetic(years: float, seed: int, out_dir) -> tuple[Path, Path]:
     load_path = out_dir / "load.csv"
     weather_path = out_dir / "weather.csv"
 
-    with open(load_path, "w", newline="", encoding="utf-8") as fh:
+    with replace_atomically(load_path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp_cst", "load_mw"])
         for i, stamp in enumerate(format_hour(stamps)):
             writer.writerow([stamp, repr(float(loads[i]))])
 
-    with open(weather_path, "w", newline="", encoding="utf-8") as fh:
+    with (replace_atomically(weather_path) as tmp,
+          open(tmp, "w", newline="", encoding="utf-8") as fh):
         writer = csv.writer(fh)
         writer.writerow(["timestamp_utc", "zone_id", "temp_k", "wind_u_ms",
                          "wind_v_ms", "lwrad_wm2", "swrad_wm2"])

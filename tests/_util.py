@@ -1,9 +1,13 @@
 """Shared test helpers: tiny series builders and the finite-difference
-gradient checker used by the layer tests and the acceptance suite."""
+gradient checker used by the layer tests and the acceptance suite, and a
+Hypothesis strategy that mutates JSON documents."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
+from hypothesis import strategies as st
 
 from loadcast.ingest import AlignedSeries
 from loadcast.neural import Network, mse_loss
@@ -89,3 +93,46 @@ def relu_preactivations_safe(net: Network, margin: float = 1e-3) -> bool:
         if z is not None and np.any(np.abs(z) < margin):
             return False
     return True
+
+
+#: Any JSON value. Integers stay small: `models.load` builds the network a
+#: header declares to learn its parameter shapes, so a header declaring a
+#: huge one would allocate it before the shapes are compared.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 16) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _paths(doc, prefix=()):
+    """The path of every node of a JSON document, the root's included."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutate(doc, path, op, value):
+    """`doc` with the node at `path` replaced by `value` ("replace"), removed
+    ("remove"), or given `value` under a new key ("add", objects only)."""
+    doc = copy.deepcopy(doc)
+    if not path:
+        return value if op == "replace" else doc
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]]
+    if op == "remove":
+        del parent[path[-1]]
+    elif op == "add" and isinstance(node, dict):
+        node["?" + "".join(map(str, path))] = value
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def mutated(doc):
+    """Strategy: `doc` with one node replaced, removed or given a new key."""
+    return st.builds(_mutate, st.just(doc), st.sampled_from(list(_paths(doc))),
+                     st.sampled_from(["replace", "remove", "add"]), JSON_VALUES)

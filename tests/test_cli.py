@@ -1,9 +1,12 @@
 import csv
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from loadcast.cli import main, resolve_config
+from loadcast.codec import from_json
 from loadcast.dataset import DEFAULT_FRACTIONS, WindowConfig
 from loadcast.features import FeatureSelector, all_features
 from loadcast.ingest import format_hour, write_aligned_csv
@@ -138,6 +141,15 @@ class TestTrain:
         ("features", "include_load", "no", "ConfigError"),
         ("split", "train", "a", "ConfigError"),
         ("window", "t1", 2.5, "ConfigError"),
+        # architecture sizes below 1
+        ("model", "conv_kernel", 0, "InvalidSpec"),
+        ("model", "conv_filters", 0, "InvalidSpec"),
+        ("model", "conv_layers", 0, "InvalidSpec"),
+        ("model", "lstm_hidden", -1, "InvalidSpec"),
+        ("model", "lstm_layers", 0, "InvalidSpec"),
+        ("model", "dense_size", 0, "InvalidSpec"),
+        ("model", "fcnn_hidden", [-3], "InvalidSpec"),
+        ("model", "fcnn_hidden", [16, 0], "InvalidSpec"),
     ])
     def test_wrong_typed_field_rejected(self, tmp_path, capsys, section, key, value, code):
         cfg = train_config("/nonexistent/aligned.csv", tmp_path / "out")
@@ -153,7 +165,7 @@ class TestTrain:
         spec = ModelSpec.from_dict({**resolved["model"], **resolved["training"]})
         assert spec == ModelSpec(kind="lstm")
         assert tuple(resolved["split"][s] for s in ("train", "val", "test")) == DEFAULT_FRACTIONS
-        assert FeatureSelector.from_dict(resolved["features"]) == all_features()
+        assert from_json(FeatureSelector, resolved["features"]) == all_features()
 
     def test_rerun_identical_artifact(self, aligned_csv, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -335,6 +347,54 @@ class TestGrid:
         monkeypatch.setattr(experiments, "train", boom)
         assert main(["grid", str(cfg_path), str(aligned_csv), "--out", str(out)]) == 0
         assert (out / "tables" / "table2.csv").read_bytes() == table_before
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("target", ["weather.csv", "aligned.csv", "config.json",
+                                        "model.lcst", "history.csv", "report.json",
+                                        "error_histogram.csv", "grid.json", "table2.csv"])
+    def test_interrupted_write_keeps_previous_file(self, synth_dir, aligned_csv, tmp_path,
+                                                   monkeypatch, target):
+        other = tmp_path / "other"
+        generate_synthetic(0.04, 5, other)
+        aligned, model = tmp_path / "ing" / "aligned.csv", tmp_path / "train" / "model.lcst"
+        cfg, grid_cfg = tmp_path / "run.json", tmp_path / "grid_cfg.json"
+        cfg.write_text(json.dumps(train_config(aligned, tmp_path / "train")))
+        grid_cfg.write_text(json.dumps(
+            {"name": "mini", "rows": [{"name": "p", "model": {"kind": "persistence"}}]}))
+
+        def run_all(variant):  # the second variant changes every file the first wrote
+            src = (synth_dir, other)[variant]
+            for argv in (
+                    ["synth", "--years", "0.01", "--seed", str(variant),
+                     "--out", str(tmp_path / "synth")],
+                    ["ingest", str(src / "load.csv"), str(src / "weather.csv"),
+                     "--out", str(aligned.parent)],
+                    ["train", "--config", str(cfg), "--seed", str(variant)],
+                    ["evaluate", str(model), str(aligned), "--split", ("test", "val")[variant],
+                     "--out", str(tmp_path / "eval")],
+                    ["grid", str(grid_cfg), str(aligned_csv), "--seeds", str(variant),
+                     "--out", str(tmp_path / "grid")]):
+                try:
+                    assert main(argv) == 0
+                except KeyboardInterrupt:
+                    interrupted.append(argv[0])
+
+        interrupted = []
+        run_all(0)
+        before = {p: p.read_bytes() for p in tmp_path.rglob(target)}
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == target:
+                raise KeyboardInterrupt  # after the temporary file is written
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        run_all(1)
+        assert interrupted
+        assert {p: p.read_bytes() for p in tmp_path.rglob(target)} == before
+        assert not [p for p in tmp_path.rglob("*.tmp")]
 
 
 class TestHelp:

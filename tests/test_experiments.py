@@ -3,10 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import loadcast.experiments as experiments
 from loadcast.dataset import WindowConfig
-from loadcast.errors import DatasetTooSmall, InvalidConfig, MissingRows
+from loadcast.errors import DatasetTooSmall, InvalidConfig, LoadcastError, MissingRows
 from loadcast.experiments import (
     ExperimentGrid,
     GridReport,
@@ -20,7 +21,7 @@ from loadcast.experiments import (
 from loadcast.features import FeatureSelector, all_features
 from loadcast.models import ModelSpec
 
-from _util import toy_series
+from _util import mutated, toy_series
 
 
 def tiny_grid(seeds=(0, 1), name="tiny"):
@@ -120,6 +121,14 @@ class TestGridConfig:
         with pytest.raises(InvalidConfig):
             grid_from_config(doc)
 
+    @settings(max_examples=300, deadline=None)
+    @given(doc=mutated(tiny_grid().to_dict()))
+    def test_mutated_config_builds_or_raises_loadcast_error(self, doc):
+        try:
+            grid_from_config(doc)
+        except LoadcastError:
+            pass
+
 
 class TestRunGrid:
     def test_artifacts_and_reports_on_disk(self, tmp_path):
@@ -208,6 +217,34 @@ class TestRunGrid:
         run_grid(tiny_grid(seeds=seeds), toy_series(160, seed=2), tmp_path / "fresh")
         files = [p for p in sorted((tmp_path / "fresh").rglob("*")) if p.is_file()]
         assert len(files) == 2 * 2 * len(seeds) + 3
+        for path in files:
+            rel = path.relative_to(tmp_path / "fresh")
+            assert (tmp_path / "reused" / rel).read_bytes() == path.read_bytes(), rel
+
+    @pytest.mark.parametrize("change", [
+        lambda doc: [],
+        lambda doc: {**doc, "tolerance": []},
+        lambda doc: {**doc, "degenerate_actual": "false"},
+        lambda doc: {**doc, "n_samples": 12.7},
+        lambda doc: {**doc, "r2": "0.9"},
+        lambda doc: {**doc, "tolerance": {}},
+        lambda doc: {**doc, "predicted": [[1.0]]},
+        lambda doc: {**doc, "selector": {**doc["selector"], "include_load": "false"}},
+        lambda doc: {k: v for k, v in doc.items() if k != "mape_pct"},
+        lambda doc: "[" * 100_000 + "]" * 100_000,
+    ], ids=["list", "tolerance-list", "bool-text", "fractional-count", "number-text",
+            "no-thresholds", "nested-array", "selector-bool-text", "missing-field",
+            "nested-too-deep"])
+    def test_malformed_vouched_report_retrains(self, tmp_path, change):
+        series = toy_series(160, seed=1)
+        run_grid(tiny_grid(seeds=(0,)), series, tmp_path / "reused")
+        report = tmp_path / "reused" / "rows" / "svr_ridge" / "seed0" / "report.json"
+        doc = change(json.loads(report.read_text()))
+        report.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        run_grid(tiny_grid(seeds=(0,)), series, tmp_path / "reused")
+        run_grid(tiny_grid(seeds=(0,)), series, tmp_path / "fresh")
+        files = [p for p in sorted((tmp_path / "fresh").rglob("*")) if p.is_file()]
+        assert len(files) == 2 * 2 + 3
         for path in files:
             rel = path.relative_to(tmp_path / "fresh")
             assert (tmp_path / "reused" / rel).read_bytes() == path.read_bytes(), rel

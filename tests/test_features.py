@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loadcast.codec import from_json, to_json
 from loadcast.errors import EmptySelector
 from loadcast.features import FeatureSelector, all_features, assemble, encode_time
 
@@ -77,11 +78,11 @@ class TestFeatureSelector:
 
     def test_dict_round_trip(self):
         sel = all_features(time_encoding="cyclical")
-        assert FeatureSelector.from_dict(sel.to_dict()) == sel
+        assert from_json(FeatureSelector, to_json(sel)) == sel
 
     def test_unknown_dict_key_rejected(self):
         with pytest.raises(ValueError):
-            FeatureSelector.from_dict({"include_load": True, "zone": [1]})
+            from_json(FeatureSelector, {"include_load": True, "zone": [1]})
 
 
 class TestAssemble:

@@ -1,8 +1,16 @@
+import functools
+import hashlib
+import json
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from loadcast.artifact import read_artifact, write_artifact
+from loadcast.codec import to_json
 from loadcast.dataset import (
     WindowConfig,
     WindowedDataset,
@@ -13,6 +21,7 @@ from loadcast.errors import (
     CorruptArtifact,
     EmptyWindow,
     InvalidSpec,
+    LoadcastError,
     NotContiguous,
     ShapeMismatch,
     VersionMismatch,
@@ -30,7 +39,7 @@ from loadcast.models import (
 )
 from loadcast.neural import LSTM, Conv1D, Dense
 
-from _util import BASE, toy_series
+from _util import BASE, mutated, toy_series
 
 
 def small_dataset(n_hours=120, selector=None, seed=1, missing=()):
@@ -63,7 +72,7 @@ class TestModelSpec:
 
     def test_dict_round_trip(self):
         spec = ModelSpec(kind="lrcn", lstm_hidden=8, epochs=3)
-        assert ModelSpec.from_dict(spec.to_dict()) == spec
+        assert ModelSpec.from_dict(to_json(spec)) == spec
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidSpec):
@@ -356,3 +365,102 @@ class TestSaveLoad:
         write_artifact(path, header, change(arrays))  # re-signed: the checksum holds
         with pytest.raises(CorruptArtifact, match="do not fit its spec"):
             load(path)
+
+    @pytest.mark.parametrize("change", [
+        lambda header: {**header, "load_channel": 5},
+        lambda header: {**header, "load_channel": 1},
+        lambda header: {**header, "channel_names": ["load", "renamed"]},
+        lambda header: {**header, "normalizer": {**header["normalizer"],
+                                                 "channel_min": [0.0]}},
+        lambda header: {**header, "normalizer": {**header["normalizer"], "target_min": None}},
+        lambda header: {**header, "spec": {**header["spec"], "lstm_hidden": 0}},
+        lambda header: {**header, "window": {"t1": 6.0, "t2": 4}},
+        lambda header: {**header, "history": [[0, "1.0", 1.0]]},
+        lambda header: b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["load-channel-out-of-range", "load-channel-moved", "renamed-channels",
+            "short-normalizer", "null-target", "zero-size", "float-window", "text-loss",
+            "nested-too-deep"])
+    def test_header_that_does_not_fit_rejected(self, tmp_path, change):
+        header, sections = _artifact_parts("persistence")
+        path = tmp_path / "model.lcst"
+        path.write_bytes(_signed(header, sections))
+        load(path)  # the parts as saved load
+        path.write_bytes(_signed(change(header), sections))
+        with pytest.raises(CorruptArtifact):
+            load(path)
+
+    @pytest.mark.parametrize("name,dims", [
+        (b"svr_\xff", None),  # not UTF-8
+        (None, (2**32 - 1, 2**32 - 1, 2**32 - 1)),  # the int64 product wraps to a small size
+        (None, (2**32 - 1,) * 2 + (2,)),
+    ], ids=["name-not-utf8", "dims-wrap", "dims-wrap-to-negative"])
+    def test_array_section_that_does_not_fit_rejected(self, tmp_path, name, dims):
+        header, sections = _artifact_parts("svr")
+        path = tmp_path / "model.lcst"
+        path.write_bytes(_signed(header, sections))
+        load(path)  # the parts as saved load
+        old_name, _, old_dims, values = sections[0]
+        dims = dims or old_dims
+        sections = [(name or old_name, len(dims), dims, values), *sections[1:]]
+        path.write_bytes(_signed(header, sections))
+        with pytest.raises(CorruptArtifact):
+            load(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["persistence", "svr", "fcnn", "lstm"]), data=st.data())
+    def test_mutated_artifact_loads_or_raises_loadcast_error(self, tmp_path, kind, data):
+        header, sections = _artifact_parts(kind)
+        if not sections or data.draw(st.booleans()):
+            header = data.draw(mutated(header))
+        else:  # one array section: its name bytes, its rank, or its dims
+            i = data.draw(st.integers(0, len(sections) - 1))
+            name, ndim, dims, values = sections[i]
+            part = data.draw(st.sampled_from(["name", "ndim", "dims"]))
+            if part == "name":
+                name = data.draw(st.binary(max_size=8))
+            elif part == "ndim":
+                ndim = data.draw(st.integers(0, 2**32 - 1))
+            else:
+                dims = tuple(data.draw(st.lists(st.integers(0, 2**32 - 1),
+                                                min_size=ndim, max_size=ndim)))
+            sections = [*sections[:i], (name, ndim, dims, values), *sections[i + 1:]]
+        path = tmp_path / "model.lcst"
+        path.write_bytes(_signed(header, sections))
+        try:
+            model = load(path)
+            predict_batch(model, np.full((2, model.window.t1, len(model.channel_names)), 4e4))
+            predict_at(model, toy_series(48), BASE + 40)
+        except LoadcastError:
+            pass
+
+    def test_empty_fcnn_hidden_is_a_linear_network(self):
+        _, ds = small_dataset(120)
+        model = train(ds, ModelSpec(kind="fcnn", fcnn_hidden=(), epochs=1), FeatureSelector())
+        assert sorted(model.params) == ["layer1.W", "layer1.b"]
+
+
+@functools.cache
+def _artifact_parts(kind):
+    """(header, [(name bytes, ndim, dims, values bytes)]) of a small saved model."""
+    selector = FeatureSelector(weather_features=("temp",), zones=(0,))
+    _, ds = small_dataset(120, selector)
+    spec = ModelSpec(kind=kind, fcnn_hidden=(4,), lstm_hidden=3, lstm_layers=1,
+                     dense_size=4, epochs=1, svr_mode="ridge")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.lcst"
+        save(train(ds, spec, selector), path)
+        header, arrays = read_artifact(path)
+    return header, [(name.encode(), value.ndim, value.shape, value.astype("<f8").tobytes())
+                    for name, value in sorted(arrays.items())]
+
+
+def _signed(header, sections) -> bytes:
+    """The artifact bytes of `header` (a document, or its bytes) and raw array
+    sections, with a valid checksum."""
+    text = header if isinstance(header, bytes) else json.dumps(header).encode()
+    body = b"LCST" + struct.pack("<II", 1, len(text)) + text + struct.pack("<I", len(sections))
+    for name, ndim, dims, values in sections:
+        body += struct.pack("<I", len(name)) + name + struct.pack("<I", ndim)
+        body += struct.pack(f"<{len(dims)}I", *dims) + values
+    return body + hashlib.sha256(body).digest()
