@@ -95,6 +95,14 @@ def _load_series(data: dict):
     raise ConfigError("data section needs 'aligned' or both 'load' and 'weather'")
 
 
+def _read_json(path):
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:  # nested deeper than the recursion limit
+        raise json.JSONDecodeError("nested too deep", text, 0) from None
+
+
 def _parse_fractions(text: str) -> tuple[float, float, float]:
     try:
         return check_fractions([float(p) for p in text.split(",") if p])
@@ -123,8 +131,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    doc = json.loads(Path(args.config).read_text())
-    resolved = resolve_config(doc)
+    resolved = resolve_config(_read_json(args.config))
     if args.seed is not None:
         resolved["training"]["seed"] = args.seed
     if args.out is not None:
@@ -196,7 +203,7 @@ def _resolve_grid(name_or_path: str):
         return grids[name_or_path]
     path = Path(name_or_path)
     if path.exists():
-        return grid_from_config(json.loads(path.read_text()))
+        return grid_from_config(_read_json(path))
     raise ConfigError(
         f"unknown grid {name_or_path!r}; builtins: {', '.join(sorted(grids))} "
         "(or pass a JSON grid config path)")
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="path to model.lcst")
     p.add_argument("aligned_csv", help="aligned data to window and score")
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
-    p.add_argument("--fractions", default="0.45,0.45,0.10",
+    p.add_argument("--fractions", default=",".join(map(str, DEFAULT_FRACTIONS)),
                    help="train,val,test fractions used to cut the splits")
     p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_evaluate)

@@ -114,8 +114,8 @@ def persistence_predict(window_loads, t2: int) -> np.ndarray:
 
 def build_model(spec: ModelSpec, t1: int, channels: int, t2: int,
                 rng: np.random.Generator | None = None) -> Network:
-    """Construct an untrained network for the fcnn/lstm/lrcn kinds."""
-    rng = rng or np.random.default_rng(spec.seed)
+    """The network of the fcnn/lstm/lrcn kinds: Glorot-initialised from
+    `rng`, or without one only the parameter shapes, for `Network.set_params`."""
     m = spec.width_multiplier
     layers = []
     if spec.kind == "fcnn":
@@ -216,7 +216,6 @@ def _train_network(dataset: WindowedDataset, spec: ModelSpec, norm: Normalizer):
             wait += 1
             if wait > spec.patience:
                 break
-    net.set_params(best_params)
     return best_params, history
 
 
@@ -256,8 +255,7 @@ def train(dataset: WindowedDataset, spec: ModelSpec, selector: FeatureSelector) 
 
 
 def _network_for(model: TrainedModel) -> Network:
-    net = build_model(model.spec, model.window.t1, len(model.channel_names),
-                      model.window.t2, np.random.default_rng(model.spec.seed))
+    net = build_model(model.spec, model.window.t1, len(model.channel_names), model.window.t2)
     net.set_params(model.params)
     return net
 
@@ -329,8 +327,7 @@ def load(path) -> TrainedModel:
     elif spec.kind == "svr":
         expected = {"svr_w": (t2, t1 * channels), "svr_b": (t2,)}
     else:
-        expected = {name: value.shape for name, value
-                    in build_model(spec, t1, channels, t2).named_params().items()}
+        expected = build_model(spec, t1, channels, t2).named_shapes()
     shapes = {name: value.shape for name, value in arrays.items()}
     if shapes != expected:
         wrong = sorted({name for name, _ in set(shapes.items()) ^ set(expected.items())})

@@ -6,6 +6,9 @@ All math runs in float64. Sequence layers use (batch, time, channels);
 dense layers use (batch, features). Gradients accumulate into per-layer
 buffers that shape-match the parameters; any NaN/Inf in a forward or
 backward pass raises NonFiniteValue naming the offending layer.
+
+A layer's constructor declares its parameter shapes and draws values only
+from an rng it is given; without one, `Network.set_params` supplies them.
 """
 
 from __future__ import annotations
@@ -17,18 +20,32 @@ import numpy as np
 from .errors import InvalidRate, KernelTooLarge, NonFiniteValue, ShapeMismatch
 
 
-def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Uniform in +-sqrt(6 / (fan_in + fan_out)) for a (..., in, out) kernel;
+    both fans count every position of the receptive field prod(shape[:-2])."""
+    receptive = math.prod(shape[:-2])
+    fan_in, fan_out = shape[-2] * receptive, shape[-1] * receptive
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 
 class Layer:
-    """A forward/backward pair with named parameters and gradient buffers."""
+    """A forward/backward pair over named parameters of declared `shapes`;
+    an rng draws them in declaration order (Glorot kernels, zero biases)."""
 
-    def __init__(self):
+    def __init__(self, rng: np.random.Generator | None = None, **shapes: tuple[int, ...]):
         self.name = type(self).__name__.lower()
+        self.shapes = shapes
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        if rng is not None:
+            self._adopt({key: glorot_uniform(rng, shape) if len(shape) > 1 else np.zeros(shape)
+                        for key, shape in shapes.items()})
+
+    def _adopt(self, params: dict[str, np.ndarray]) -> None:
+        """Use `params` (not copies) and start fresh zero gradients."""
+        self.params = params
+        self.grads = {key: np.zeros(shape) for key, shape in self.shapes.items()}
 
     def forward(self, x: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -46,25 +63,18 @@ class Layer:
             raise NonFiniteValue(f"layer {self.name}: non-finite values in {stage}")
         return arr
 
-    def _add_param(self, key: str, value: np.ndarray) -> None:
-        self.params[key] = value
-        self.grads[key] = np.zeros_like(value)
-
 
 class Dense(Layer):
     """y = activation(x W + b), activation in {relu, identity}."""
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "relu",
                  rng: np.random.Generator | None = None):
-        super().__init__()
         if activation not in ("relu", "identity"):
             raise ValueError(f"unsupported activation {activation!r}")
-        rng = rng or np.random.default_rng()
+        super().__init__(rng, W=(in_dim, out_dim), b=(out_dim,))
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
-        self._add_param("W", glorot_uniform(rng, (in_dim, out_dim), in_dim, out_dim))
-        self._add_param("b", np.zeros(out_dim))
         self._x = None
         self._z = None
 
@@ -95,15 +105,10 @@ class Conv1D(Layer):
 
     def __init__(self, in_chan: int, filters: int, kernel: int,
                  rng: np.random.Generator | None = None):
-        super().__init__()
-        rng = rng or np.random.default_rng()
+        super().__init__(rng, W=(kernel, in_chan, filters), b=(filters,))
         self.in_chan = in_chan
         self.filters = filters
         self.kernel = kernel
-        fan_in = kernel * in_chan
-        fan_out = kernel * filters
-        self._add_param("W", glorot_uniform(rng, (kernel, in_chan, filters), fan_in, fan_out))
-        self._add_param("b", np.zeros(filters))
         self._cols = None
         self._z = None
         self._x_shape = None
@@ -158,15 +163,11 @@ class LSTM(Layer):
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None):
-        super().__init__()
-        rng = rng or np.random.default_rng()
+        super().__init__(rng, W=(in_dim, 4 * hidden), U=(hidden, 4 * hidden), b=(4 * hidden,))
+        if rng is not None:
+            self.params["b"][hidden:2 * hidden] = 1.0
         self.in_dim = in_dim
         self.hidden = hidden
-        self._add_param("W", glorot_uniform(rng, (in_dim, 4 * hidden), in_dim, 4 * hidden))
-        self._add_param("U", glorot_uniform(rng, (hidden, 4 * hidden), hidden, 4 * hidden))
-        b = np.zeros(4 * hidden)
-        b[hidden:2 * hidden] = 1.0
-        self._add_param("b", b)
         self._cache = None
 
     def forward(self, x, training=False, rng=None):
@@ -325,33 +326,33 @@ class Network:
         for layer in self.layers:
             layer.zero_grads()
 
+    def _named(self, attr: str) -> dict:
+        return {f"layer{idx}.{key}": value for idx, layer in enumerate(self.layers)
+                for key, value in getattr(layer, attr).items()}
+
     def named_params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for idx, layer in enumerate(self.layers):
-            for key, value in layer.params.items():
-                out[f"layer{idx}.{key}"] = value
-        return out
+        return self._named("params")
 
     def named_grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for idx, layer in enumerate(self.layers):
-            for key, value in layer.grads.items():
-                out[f"layer{idx}.{key}"] = value
-        return out
+        return self._named("grads")
+
+    def named_shapes(self) -> dict[str, tuple[int, ...]]:
+        return self._named("shapes")
 
     def get_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.named_params().items()}
 
     def set_params(self, params: dict[str, np.ndarray]) -> None:
-        live = self.named_params()
-        if set(live) != set(params):
+        """Adopt `params`, without copying, once they fit the declared shapes."""
+        shapes = self.named_shapes()
+        if set(shapes) != set(params):
             raise ShapeMismatch(
-                f"parameter names {sorted(params)} != expected {sorted(live)}")
+                f"parameter names {sorted(params)} != expected {sorted(shapes)}")
         for key, value in params.items():
-            if live[key].shape != np.asarray(value).shape:
-                raise ShapeMismatch(
-                    f"{key}: shape {np.asarray(value).shape} != {live[key].shape}")
-            live[key][...] = value
+            if np.shape(value) != shapes[key]:
+                raise ShapeMismatch(f"{key}: shape {np.shape(value)} != {shapes[key]}")
+        for idx, layer in enumerate(self.layers):
+            layer._adopt({key: params[f"layer{idx}.{key}"] for key in layer.shapes})
 
 
 class Adam:

@@ -349,6 +349,17 @@ class TestGrid:
         assert (out / "tables" / "table2.csv").read_bytes() == table_before
 
 
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_config_nested_too_deep_is_bad_json(tmp_path, capsys, command):
+    cfg_path = tmp_path / "deep.json"
+    cfg_path.write_text("[" * 100000 + "]" * 100000)  # deeper than the recursion limit
+    argv = {"train": ["train", "--config", str(cfg_path)],
+            "grid": ["grid", str(cfg_path), str(tmp_path / "aligned.csv"),
+                     "--out", str(tmp_path / "out")]}[command]
+    assert main(argv) == 1
+    assert "error[BadJson]" in capsys.readouterr().err
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize("target", ["weather.csv", "aligned.csv", "config.json",
                                         "model.lcst", "history.csv", "report.json",

@@ -3,6 +3,7 @@ import hashlib
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +109,8 @@ class TestBuildModel:
             assert last.activation == "identity"
 
     def test_lrcn_conv_shrinks_lstm_steps(self):
-        net = build_model(ModelSpec(kind="lrcn"), t1=6, channels=9, t2=4)
+        net = build_model(ModelSpec(kind="lrcn"), t1=6, channels=9, t2=4,
+                          rng=np.random.default_rng(0))
         conv = net.layers[0]
         assert isinstance(conv, Conv1D) and conv.kernel == 3
         out = conv.forward(np.random.default_rng(0).normal(size=(2, 6, 9)))
@@ -205,6 +207,32 @@ class TestTraining:
         val = _dataset_loss(_network_for(model), norm.transform(xva),
                             norm.transform_target(yva), spec.batch_size)
         assert val == best_recorded
+
+
+class TestGoldenTraining:
+    """Pins the random stream of network training: weight draws in layer
+    order, batch permutations and dropout masks. Any change to what is drawn,
+    or when, changes these digests. At this size the digests do not depend on
+    the BLAS thread count."""
+
+    @pytest.mark.parametrize("kind,digest", [
+        ("fcnn", "2cc8668f712b4a3ba3fa81a9b6a8cea2da935357cd8c33575d4843909a209236"),
+        ("lstm", "4e3e10808faaad6178ea3620e7f7797a9ff2e5dd83503b6d9c9d0dedaf56511e"),
+        ("lrcn", "f84e9df1e8224944d4925b5c583425700746c050fd9aba63369bb3f11887250e"),
+    ])
+    def test_params_history_and_predictions_hash(self, kind, digest):
+        sel = FeatureSelector(time_features=("hour",), weather_features=("temp",), zones=(0, 1))
+        _, ds = small_dataset(160, sel, seed=2)
+        spec = ModelSpec(kind=kind, fcnn_hidden=(8, 4), lstm_hidden=4, conv_filters=3,
+                         dense_size=5, epochs=4, batch_size=16, seed=7)
+        model = train(ds, spec, sel)
+        x, _ = ds.split_arrays("test")
+        sha = hashlib.sha256()
+        for name in sorted(model.params):
+            sha.update(name.encode() + model.params[name].tobytes())
+        sha.update(repr(model.history).encode())
+        sha.update(predict_batch(model, x).tobytes())
+        assert sha.hexdigest() == digest
 
 
 class TestPredict:
@@ -366,6 +394,20 @@ class TestSaveLoad:
         with pytest.raises(CorruptArtifact, match="do not fit its spec"):
             load(path)
 
+    def test_huge_declared_network_rejected_without_allocating_it(self, tmp_path):
+        header, sections = _artifact_parts("fcnn")
+        header = {**header, "spec": {**header["spec"], "fcnn_hidden": [3000, 3000]}}
+        path = tmp_path / "model.lcst"
+        path.write_bytes(_signed(header, sections))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptArtifact, match="do not fit its spec"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20  # a 3000x3000 float64 kernel alone is 72 MB
+
     @pytest.mark.parametrize("change", [
         lambda header: {**header, "load_channel": 5},
         lambda header: {**header, "load_channel": 1},
@@ -429,7 +471,8 @@ class TestSaveLoad:
         path.write_bytes(_signed(header, sections))
         try:
             model = load(path)
-            predict_batch(model, np.full((2, model.window.t1, len(model.channel_names)), 4e4))
+            t1 = min(model.window.t1, 48)  # a declared t1 may be huge; a shorter input is rejected
+            predict_batch(model, np.full((2, t1, len(model.channel_names)), 4e4))
             predict_at(model, toy_series(48), BASE + 40)
         except LoadcastError:
             pass

@@ -288,6 +288,22 @@ class TestNetwork:
         with pytest.raises(ShapeMismatch):
             net.set_params({"layer0.W": np.zeros((2, 2))})  # missing bias
 
+    def test_network_without_rng_holds_shapes_until_set_params(self):
+        def layers(rng=None):
+            return [Conv1D(2, 3, 2, rng), LSTM(3, 4, rng), Flatten(), Dense(8, 1, "identity", rng)]
+
+        trained = Network(layers(rng_for(0)))
+        net = Network(layers())
+        assert net.named_params() == {} and net.named_grads() == {}
+        assert net.named_shapes() == {k: v.shape for k, v in trained.named_params().items()}
+        params = trained.get_params()
+        net.set_params(params)
+        assert all(net.named_params()[k] is params[k] for k in params)  # adopted, not copied
+        x = rng_for(1).normal(size=(3, 3, 2))
+        assert np.array_equal(net.forward(x), trained.forward(x))
+        with pytest.raises(ShapeMismatch):
+            net.set_params({**params, "layer1.U": params["layer1.U"].T})
+
     def test_deterministic_training_steps(self):
         def run():
             rng = rng_for(11)
