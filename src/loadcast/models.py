@@ -3,7 +3,8 @@
 Kinds: persistence (repeat the most recent load), svr (one linear predictor
 per look-ahead hour on the flattened window), fcnn, lstm, and lrcn. Networks
 train with mini-batch Adam on MSE over normalized targets, early stopping on
-validation loss, and best-epoch parameter restore.
+validation loss, and best-epoch parameter restore. Training computes in
+float32 on float64 parameters; prediction computes in float64.
 """
 
 from __future__ import annotations
@@ -164,6 +165,8 @@ def _batches(n: int, batch_size: int, order=None):
 
 
 def _dataset_loss(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
+    """Mean loss in the float32 arithmetic of training, whatever x's dtype."""
+    x, y = x.astype(np.float32, copy=False), y.astype(np.float32, copy=False)
     chunk = max(batch_size, 1024)  # no backward pass; larger chunks are cheaper
     total = 0.0
     for idx in _batches(len(x), chunk):
@@ -178,10 +181,9 @@ def _train_network(dataset: WindowedDataset, spec: ModelSpec, norm: Normalizer):
         raise EmptySplit("network training needs non-empty train and val splits")
     xtr, ytr_raw = dataset.split_arrays("train")
     xva, yva_raw = dataset.split_arrays("val")
-    xtr = norm.transform(xtr)
-    ytr = norm.transform_target(ytr_raw)
-    xva = norm.transform(xva)
-    yva = norm.transform_target(yva_raw)
+    xtr, ytr, xva, yva = (a.astype(np.float32) for a in (
+        norm.transform(xtr), norm.transform_target(ytr_raw),
+        norm.transform(xva), norm.transform_target(yva_raw)))
 
     rng = np.random.default_rng(spec.seed)
     net = build_model(spec, dataset.cfg.t1, len(dataset.channel_names), dataset.cfg.t2, rng)
@@ -327,7 +329,17 @@ def load(path) -> TrainedModel:
     elif spec.kind == "svr":
         expected = {"svr_w": (t2, t1 * channels), "svr_b": (t2,)}
     else:
-        expected = build_model(spec, t1, channels, t2).named_shapes()
+        # the stored arrays bound the depth of the network built to check them
+        count = {"fcnn": 2 * (len(spec.fcnn_hidden) + 1),
+                 "lstm": 3 * spec.lstm_layers + 4,
+                 "lrcn": 2 * spec.conv_layers + 3 * spec.lstm_layers + 4}[spec.kind]
+        if count != len(arrays):
+            raise CorruptArtifact(f"{spec.kind} artifact arrays do not fit its spec: "
+                                  f"it declares {count} arrays and stores {len(arrays)}")
+        try:
+            expected = build_model(spec, t1, channels, t2).named_shapes()
+        except InvalidSpec as exc:
+            raise CorruptArtifact(f"malformed artifact header: {exc}") from None
     shapes = {name: value.shape for name, value in arrays.items()}
     if shapes != expected:
         wrong = sorted({name for name, _ in set(shapes.items()) ^ set(expected.items())})

@@ -2,10 +2,18 @@
 dropout, and flatten layers with exact hand-written backpropagation, plus MSE
 loss and Adam with per-epoch exponential learning-rate decay.
 
-All math runs in float64. Sequence layers use (batch, time, channels);
-dense layers use (batch, features). Gradients accumulate into per-layer
-buffers that shape-match the parameters; any NaN/Inf in a forward or
-backward pass raises NonFiniteValue naming the offending layer.
+Every layer computes in its input's dtype: it casts its parameters to that
+dtype once per forward and once per backward pass and allocates its state and
+caches in it. Parameters and gradient buffers stay float64, so a float64
+caller gets float64 arithmetic throughout, and a float32 caller (training)
+gets float32 arithmetic whose gradients are added into the float64 buffers,
+after the master-weight scheme of Micikevicius et al., "Mixed Precision
+Training" (ICLR 2018). `mse_loss` accumulates its mean in float64.
+
+Sequence layers use (batch, time, channels); dense layers use (batch,
+features). Gradients accumulate into per-layer buffers that shape-match the
+parameters; any NaN/Inf in a forward or backward pass raises NonFiniteValue
+naming the offending layer.
 
 A layer's constructor declares its parameter shapes and draws values only
 from an rng it is given; without one, `Network.set_params` supplies them.
@@ -47,6 +55,10 @@ class Layer:
         self.params = params
         self.grads = {key: np.zeros(shape) for key, shape in self.shapes.items()}
 
+    def _params_as(self, dtype, *keys: str) -> list[np.ndarray]:
+        """The named parameters in `dtype`; in float64, the arrays themselves."""
+        return [self.params[key].astype(dtype, copy=False) for key in keys]
+
     def forward(self, x: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -82,7 +94,8 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeMismatch(
                 f"layer {self.name}: expected (batch, {self.in_dim}), got {x.shape}")
-        z = x @ self.params["W"] + self.params["b"]
+        w, b = self._params_as(x.dtype, "W", "b")
+        z = x @ w + b
         self._x, self._z = x, z
         y = np.maximum(z, 0.0) if self.activation == "relu" else z
         return self._finite(y, "forward")
@@ -94,7 +107,8 @@ class Dense(Layer):
         g = grad_out * (self._z > 0) if self.activation == "relu" else grad_out
         self.grads["W"] += self._x.T @ g
         self.grads["b"] += g.sum(axis=0)
-        return self._finite(g @ self.params["W"].T, "backward")
+        [w] = self._params_as(self._x.dtype, "W")
+        return self._finite(g @ w.T, "backward")
 
 
 class Conv1D(Layer):
@@ -126,8 +140,9 @@ class Conv1D(Layer):
         # order, so the whole layer is a single matmul
         win = np.lib.stride_tricks.sliding_window_view(x, self.kernel, axis=1)
         cols = win.transpose(0, 1, 3, 2).reshape(batch * t_out, self.kernel * self.in_chan)
-        w = self.params["W"].reshape(self.kernel * self.in_chan, self.filters)
-        z = (cols @ w).reshape(batch, t_out, self.filters) + self.params["b"]
+        w, b = self._params_as(x.dtype, "W", "b")
+        w = w.reshape(self.kernel * self.in_chan, self.filters)
+        z = (cols @ w).reshape(batch, t_out, self.filters) + b
         self._cols, self._z, self._x_shape = cols, z, x.shape
         return self._finite(np.maximum(z, 0.0), "forward")
 
@@ -139,10 +154,11 @@ class Conv1D(Layer):
         grad_w = self._cols.T @ gz.reshape(-1, self.filters)
         self.grads["W"] += grad_w.reshape(self.params["W"].shape)
         self.grads["b"] += gz.sum(axis=(0, 1))
-        gx = np.zeros(self._x_shape)
+        [w] = self._params_as(self._cols.dtype, "W")
+        gx = np.zeros(self._x_shape, dtype=self._cols.dtype)
         t_out = gz.shape[1]
         for j in range(self.kernel):
-            gx[:, j:j + t_out, :] += gz @ self.params["W"][j].T
+            gx[:, j:j + t_out, :] += gz @ w[j].T
         return self._finite(gx, "backward")
 
 
@@ -176,17 +192,18 @@ class LSTM(Layer):
                 f"layer {self.name}: expected (batch, time, {self.in_dim}), got {x.shape}")
         batch, steps, _ = x.shape
         hid = self.hidden
-        u, b = self.params["U"], self.params["b"]
-        xw = x.reshape(batch * steps, self.in_dim) @ self.params["W"]
+        dtype = x.dtype
+        w, u, b = self._params_as(dtype, "W", "U", "b")
+        xw = x.reshape(batch * steps, self.in_dim) @ w
         xw = xw.reshape(batch, steps, 4 * hid)
-        h = np.zeros((batch, hid))
-        c = np.zeros((batch, hid))
+        h = np.zeros((batch, hid), dtype)
+        c = np.zeros((batch, hid), dtype)
         # time-major caches keep the per-step slices contiguous
-        out = np.empty((steps, batch, hid))
-        gates = np.empty((steps, batch, 4 * hid))  # i, f, o sigmoids; g tanh
-        cells = np.empty((steps, batch, hid))      # tanh(c_t)
-        h_prev = np.empty((steps, batch, hid))
-        c_prev = np.empty((steps, batch, hid))
+        out = np.empty((steps, batch, hid), dtype)
+        gates = np.empty((steps, batch, 4 * hid), dtype)  # i, f, o sigmoids; g tanh
+        cells = np.empty((steps, batch, hid), dtype)      # tanh(c_t)
+        h_prev = np.empty((steps, batch, hid), dtype)
+        c_prev = np.empty((steps, batch, hid), dtype)
         for t in range(steps):
             h_prev[t] = h
             c_prev[t] = c
@@ -220,10 +237,11 @@ class LSTM(Layer):
             raise ShapeMismatch(
                 f"layer {self.name}: gradient shape {grad_out.shape} != "
                 f"{(batch, steps, hid)}")
-        w, u = self.params["W"], self.params["U"]
-        da_all = np.empty((steps, batch, 4 * hid))
-        dh_next = np.zeros((batch, hid))
-        dc_next = np.zeros((batch, hid))
+        dtype = x.dtype
+        w, u = self._params_as(dtype, "W", "U")
+        da_all = np.empty((steps, batch, 4 * hid), dtype)
+        dh_next = np.zeros((batch, hid), dtype)
+        dc_next = np.zeros((batch, hid), dtype)
         for t in reversed(range(steps)):
             a = gates[t]
             i = a[:, :hid]
@@ -295,11 +313,12 @@ class Flatten(Layer):
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean over all elements of (pred - target)^2, and its gradient."""
+    """Mean over all elements of (pred - target)^2, accumulated in float64,
+    and its gradient in the inputs' dtype."""
     if pred.shape != target.shape:
         raise ShapeMismatch(f"pred {pred.shape} vs target {target.shape}")
     diff = pred - target
-    loss = float(np.mean(diff * diff))
+    loss = float(np.mean(diff * diff, dtype=np.float64))
     grad = 2.0 * diff / diff.size
     return loss, grad
 

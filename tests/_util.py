@@ -95,12 +95,13 @@ def relu_preactivations_safe(net: Network, margin: float = 1e-3) -> bool:
     return True
 
 
-#: Any JSON value. Integers reach 10**4, so a header can declare layers far
-#: wider than `models.load` could afford to allocate; it allocates no
-#: parameters to check their shapes. They stop there because the layer
-#: objects of a declared depth are still built: 10**4 LSTM layers take ~9 MB.
+#: Any JSON value. Integers reach 10**6, so a header can declare networks far
+#: wider and deeper than `models.load` could afford to build: it allocates no
+#: parameters to check their shapes and builds no more layers than the
+#: stored arrays allow. They stop there because a persistence header's t2
+#: sizes the forecast a prediction allocates: 10**6 hours take 8 MB a row.
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 10**4) | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
                                                                 max_size=3),
     max_leaves=6)

@@ -210,22 +210,26 @@ class TestTraining:
 
 
 class TestGoldenTraining:
-    """Pins the random stream of network training: weight draws in layer
-    order, batch permutations and dropout masks. Any change to what is drawn,
-    or when, changes these digests. At this size the digests do not depend on
-    the BLAS thread count."""
+    """Pins network training: its arithmetic (float32 compute on float64
+    parameters) and its random stream (weight draws in layer order, batch
+    permutations and dropout masks). At this size neither depends on the
+    BLAS thread count."""
+
+    SELECTOR = FeatureSelector(time_features=("hour",), weather_features=("temp",), zones=(0, 1))
+
+    def _train(self, kind, ds):
+        spec = ModelSpec(kind=kind, fcnn_hidden=(8, 4), lstm_hidden=4, conv_filters=3,
+                         dense_size=5, dropout=0.2, epochs=4, batch_size=16, seed=7)
+        return train(ds, spec, self.SELECTOR)
 
     @pytest.mark.parametrize("kind,digest", [
-        ("fcnn", "2cc8668f712b4a3ba3fa81a9b6a8cea2da935357cd8c33575d4843909a209236"),
-        ("lstm", "4e3e10808faaad6178ea3620e7f7797a9ff2e5dd83503b6d9c9d0dedaf56511e"),
-        ("lrcn", "f84e9df1e8224944d4925b5c583425700746c050fd9aba63369bb3f11887250e"),
-    ])
+        ("fcnn", "dd4d34bb73ada024ed98319619c6223d3a98a3e5fc82b6ee5625a02f86549dc2"),
+        ("lstm", "24c0e904dd2cc28a5848f09a79ea1fa0d08567beb39a286974c9ca5df8d08fd7"),
+        ("lrcn", "933a1e7bd5b13b4e026804d859d813d9a4f465b17688332e90776be80a1361e0"),
+    ], ids=["fcnn", "lstm", "lrcn"])
     def test_params_history_and_predictions_hash(self, kind, digest):
-        sel = FeatureSelector(time_features=("hour",), weather_features=("temp",), zones=(0, 1))
-        _, ds = small_dataset(160, sel, seed=2)
-        spec = ModelSpec(kind=kind, fcnn_hidden=(8, 4), lstm_hidden=4, conv_filters=3,
-                         dense_size=5, epochs=4, batch_size=16, seed=7)
-        model = train(ds, spec, sel)
+        _, ds = small_dataset(160, self.SELECTOR, seed=2)
+        model = self._train(kind, ds)
         x, _ = ds.split_arrays("test")
         sha = hashlib.sha256()
         for name in sorted(model.params):
@@ -233,6 +237,27 @@ class TestGoldenTraining:
         sha.update(repr(model.history).encode())
         sha.update(predict_batch(model, x).tobytes())
         assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize("kind,position", [
+        ("fcnn", 2185676786121434035884777146691645619),
+        ("lstm", 75699752801739251466964921045197441927),
+        ("lrcn", 289374312964529624176351496205191280321),
+    ], ids=["fcnn", "lstm", "lrcn"])
+    def test_training_consumes_the_same_random_stream(self, monkeypatch, kind, position):
+        """The arithmetic may change; what training draws, and when, may not
+        (lstm and lrcn draw dropout masks)."""
+        _, ds = small_dataset(160, self.SELECTOR, seed=2)
+        made = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        self._train(kind, ds)
+        assert len(made) == 1
+        assert made[0].bit_generator.state["state"]["state"] == position
 
 
 class TestPredict:
@@ -408,6 +433,26 @@ class TestSaveLoad:
             tracemalloc.stop()
         assert peak < 5 * 2**20  # a 3000x3000 float64 kernel alone is 72 MB
 
+    @pytest.mark.parametrize("kind,change", [
+        ("lrcn", {"conv_kernel": 7}),  # the conv stack outgrows the 6-hour window
+        ("lstm", {"lstm_layers": 10**5}),  # deeper than its 7 stored arrays allow
+        ("lstm", {"lstm_hidden": 3000}),  # its 3000x12000 float64 U alone is 288 MB
+    ], ids=["lrcn-kernel-exceeds-window", "lstm-deep", "lstm-wide"])
+    def test_re_signed_spec_rejected_without_building_its_network(self, tmp_path, kind, change):
+        header, sections = _artifact_parts(kind)
+        path = tmp_path / "model.lcst"
+        path.write_bytes(_signed(header, sections))
+        load(path)  # the parts as saved load
+        path.write_bytes(_signed({**header, "spec": {**header["spec"], **change}}, sections))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptArtifact):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
     @pytest.mark.parametrize("change", [
         lambda header: {**header, "load_channel": 5},
         lambda header: {**header, "load_channel": 1},
@@ -450,7 +495,7 @@ class TestSaveLoad:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(kind=st.sampled_from(["persistence", "svr", "fcnn", "lstm"]), data=st.data())
+    @given(kind=st.sampled_from(["persistence", "svr", "fcnn", "lstm", "lrcn"]), data=st.data())
     def test_mutated_artifact_loads_or_raises_loadcast_error(self, tmp_path, kind, data):
         header, sections = _artifact_parts(kind)
         if not sections or data.draw(st.booleans()):
@@ -476,6 +521,19 @@ class TestSaveLoad:
             predict_at(model, toy_series(48), BASE + 40)
         except LoadcastError:
             pass
+
+    def test_float32_training_keeps_float64_parameters(self, tmp_path):
+        ds, model = self._model("lstm")
+        x, _ = ds.split_arrays("test")
+        assert predict_batch(model, x).dtype == np.float64
+        save(model, tmp_path / "model.lcst")
+        _, arrays = read_artifact(tmp_path / "model.lcst")
+        assert sorted(arrays) == sorted(model.params)
+        for name, value in model.params.items():
+            assert value.dtype == arrays[name].dtype == np.float64
+            assert np.array_equal(value, arrays[name])
+        # Adam's float64 steps leave the master weights between float32 values
+        assert any(np.any(v != v.astype(np.float32)) for v in arrays.values())
 
     def test_empty_fcnn_hidden_is_a_linear_network(self):
         _, ds = small_dataset(120)

@@ -229,6 +229,14 @@ class TestMseLoss:
         with pytest.raises(ShapeMismatch):
             mse_loss(np.zeros(3), np.zeros(4))
 
+    def test_float32_mean_accumulates_in_float64(self):
+        rng = rng_for(2)
+        pred, target = (rng.normal(size=(256, 4)).astype(np.float32) for _ in range(2))
+        loss, grad = mse_loss(pred, target)
+        diff = pred - target
+        assert loss == np.mean((diff * diff).astype(np.float64))
+        assert grad.dtype == np.float32
+
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
@@ -256,6 +264,48 @@ class TestAdam:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             Adam().step({"w": np.zeros(2)}, {"w": np.zeros(3)}, 0)
+
+
+#: One small layer of each kind and an input for it.
+LAYERS = {
+    "dense": lambda rng: (Dense(4, 3, "relu", rng), rng.normal(size=(5, 4))),
+    "conv1d": lambda rng: (Conv1D(2, 3, 2, rng), rng.normal(size=(2, 5, 2))),
+    "lstm": lambda rng: (LSTM(2, 3, rng), rng.normal(size=(2, 4, 2))),
+    "dropout": lambda rng: (Dropout(0.5), rng.normal(size=(5, 4))),
+    "flatten": lambda rng: (Flatten(), rng.normal(size=(2, 3, 4))),
+}
+
+
+class TestDtype:
+    """Layers compute in their input's dtype on float64 parameters."""
+
+    @staticmethod
+    def _pass(layer, x):
+        layer.zero_grads()
+        out = layer.forward(x, training=True, rng=rng_for(1))
+        return out, layer.backward(np.cos(out))
+
+    @pytest.mark.parametrize("kind", LAYERS)
+    def test_float32_input_gives_float32_outputs_and_float64_grads(self, kind):
+        layer, x = LAYERS[kind](rng_for(7))
+        out, grad_in = self._pass(layer, x.astype(np.float32))
+        assert out.dtype == grad_in.dtype == np.float32
+        assert all(v.dtype == np.float64 for v in layer.params.values())
+        assert all(v.dtype == np.float64 for v in layer.grads.values())
+        assert layer.grads.keys() == layer.params.keys()
+
+    @pytest.mark.parametrize("kind", LAYERS)
+    def test_float64_results_ignore_an_earlier_float32_pass(self, kind):
+        fresh, x = LAYERS[kind](rng_for(7))
+        used, _ = LAYERS[kind](rng_for(7))
+        self._pass(used, x.astype(np.float32))
+
+        def results(layer):
+            return [*self._pass(layer, x), *layer.grads.values()]
+
+        expected, got = results(fresh), results(used)
+        assert all(v.dtype == np.float64 for v in got)
+        assert all(np.array_equal(a, b) for a, b in zip(expected, got, strict=True))
 
 
 class TestFiniteChecks:
