@@ -15,6 +15,9 @@ from .ingest import HOUR_DTYPE
 
 DEFAULT_FRACTIONS = (0.45, 0.45, 0.10)
 SPLITS = ("train", "val", "test")
+#: the longest look-ahead: one leap year of hours. A forecast allocates t2
+#: values a row, so this also bounds what a t2 read from a file can cost.
+MAX_T2 = 8784
 
 
 @dataclass(frozen=True)
@@ -27,6 +30,8 @@ class WindowConfig:
     def __post_init__(self):
         if min(self.t1, self.t2) < 1:
             raise ValueError(f"t1 and t2 must be >= 1, got {self.t1!r}, {self.t2!r}")
+        if self.t2 > MAX_T2:
+            raise ValueError(f"t2 must be <= {MAX_T2} hours, got {self.t2!r}")
 
     @property
     def span(self) -> int:

@@ -108,7 +108,7 @@ class SingularSystem(LoadcastError):
 
 
 class NonConvergence(LoadcastError):
-    """Subgradient solver hit max iterations without plateauing."""
+    """Epsilon-SVR ADMM hit max iterations before its residuals fell within tolerance."""
 
 
 class InvalidSpec(LoadcastError):

@@ -317,6 +317,7 @@ def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
     write_json(record, report.to_json_dict())
 
     jobs = [(row, seed) for row in grid.rows for seed in grid.seeds]
+    workers = min(workers, len(jobs))  # a pool starts every worker up front
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         results = (pool.map if pool else map)(
             _run_one, repeat(grid), *zip(*jobs), repeat(series), repeat(out_dir))

@@ -68,6 +68,9 @@ class ModelSpec:
             raise InvalidSpec(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         if self.svr_mode not in ("epsilon", "ridge"):
             raise InvalidSpec(f"svr_mode must be 'epsilon' or 'ridge', got {self.svr_mode!r}")
+        if not (self.svr_c > 0 and self.svr_epsilon >= 0):
+            raise InvalidSpec(f"svr_c must be > 0 and svr_epsilon >= 0, got "
+                              f"{self.svr_c}, {self.svr_epsilon}")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidSpec(f"dropout must be in [0, 1), got {self.dropout}")
         if self.width_multiplier < 1:

@@ -95,13 +95,13 @@ def relu_preactivations_safe(net: Network, margin: float = 1e-3) -> bool:
     return True
 
 
-#: Any JSON value. Integers reach 10**6, so a header can declare networks far
-#: wider and deeper than `models.load` could afford to build: it allocates no
-#: parameters to check their shapes and builds no more layers than the
-#: stored arrays allow. They stop there because a persistence header's t2
-#: sizes the forecast a prediction allocates: 10**6 hours take 8 MB a row.
+#: Any JSON value. Integers reach the int64 maximum, so a header can declare
+#: networks far wider and deeper than `models.load` could afford to build: it
+#: allocates no parameters to check their shapes and builds no more layers
+#: than the stored arrays allow, and `WindowConfig` rejects a t2 (the forecast
+#: length a prediction allocates per row) above one leap year of hours.
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers(-3, 2**63 - 1) | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
                                                                 max_size=3),
     max_leaves=6)

@@ -150,6 +150,9 @@ class TestTrain:
         ("model", "dense_size", 0, "InvalidSpec"),
         ("model", "fcnn_hidden", [-3], "InvalidSpec"),
         ("model", "fcnn_hidden", [16, 0], "InvalidSpec"),
+        ("model", "svr_c", 0, "InvalidSpec"),
+        ("model", "svr_epsilon", -0.1, "InvalidSpec"),
+        ("window", "t2", 8785, "ConfigError"),
     ])
     def test_wrong_typed_field_rejected(self, tmp_path, capsys, section, key, value, code):
         cfg = train_config("/nonexistent/aligned.csv", tmp_path / "out")

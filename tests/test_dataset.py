@@ -35,6 +35,9 @@ class TestWindowConfig:
             WindowConfig(t1=0)
         with pytest.raises(ValueError):
             WindowConfig(t2=0)
+        assert WindowConfig(t2=8784).span == 8790  # one leap year of hours
+        with pytest.raises(ValueError):
+            WindowConfig(t2=8785)
 
 
 class TestBuildWindows:

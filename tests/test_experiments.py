@@ -95,10 +95,11 @@ class TestGridConfig:
             ExperimentGrid("dup", rows)
 
     def test_bad_window_rejected(self):
-        doc = tiny_grid().to_dict()
-        doc["window"] = {"t1": 0}
-        with pytest.raises(InvalidConfig):
-            grid_from_config(doc)
+        for window in ({"t1": 0}, {"t1": 6, "t2": 8785}):
+            doc = tiny_grid().to_dict()
+            doc["window"] = window
+            with pytest.raises(InvalidConfig):
+                grid_from_config(doc)
 
     def test_bad_split_rejected(self):
         for change in ({"split": [0.5, 0.5]}, {"split_mode": "random"}):
@@ -297,6 +298,26 @@ class TestRunGrid:
         run_grid(tiny_grid(), series, tmp_path / "par", workers=2)
         assert ((tmp_path / "serial" / "tables" / "table2.csv").read_bytes()
                 == (tmp_path / "par" / "tables" / "table2.csv").read_bytes())
+
+    def test_pool_no_larger_than_the_jobs(self, tmp_path, monkeypatch):
+        started = []
+
+        class FakePool:  # records the pool size and runs the jobs in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        report = run_grid(tiny_grid(), toy_series(160, seed=1), tmp_path, workers=5000)
+        assert started == [4]  # two rows, two seeds
+        assert all(result.error is None for result in report.results.values())
 
 
 class TestRenderTable:

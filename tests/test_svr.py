@@ -69,3 +69,31 @@ class TestEpsilon:
         y = x @ np.array([3.0, -1.0]) + 2.0
         with pytest.raises(NonConvergence):
             fit_epsilon(x, y, max_iter=10)
+
+    def test_kkt_residual_small(self):
+        # At the minimum of 0.5*||w||^2 + C*sum(hinge), 0 = w - C*x's and
+        # 0 = C*sum(s), where s_i is sign(r_i) outside the tube, 0 inside and
+        # t_i*sign(r_i) with t_i in [0, 1] on its edge. Points within delta of
+        # the edge get the t that fits best: box-constrained least squares by
+        # accelerated projected gradient.
+        rng = np.random.default_rng(21)
+        delta, worst = 1e-3, 0.0
+        for _ in range(20):
+            n, d = int(rng.integers(20, 201)), int(rng.integers(1, 9))
+            c, epsilon = float(rng.choice([0.1, 1.0, 10.0])), float(rng.choice([0.01, 0.1]))
+            x = rng.normal(size=(n, d))
+            y = x @ rng.normal(size=d) + rng.normal() + rng.normal(0, 0.3, size=n)
+            w, b = fit_epsilon(x, y, epsilon=epsilon, c=c)
+            r = y - (x @ w + b)
+            s = np.where(np.abs(r) > epsilon + delta, np.sign(r), 0.0)
+            edge = np.abs(np.abs(r) - epsilon) <= delta
+            a = np.hstack([x, np.ones((n, 1))])
+            g = np.append(w, 0.0) - c * a.T @ s
+            m = c * a[edge].T * np.sign(r[edge])
+            step = 1.0 / max(np.linalg.norm(m, 2) ** 2, 1e-12)
+            t = t_old = np.full(edge.sum(), 0.5)
+            for k in range(1, 3001):
+                look = t + (k - 1) / (k + 2) * (t - t_old)
+                t_old, t = t, np.clip(look + step * m.T @ (g - m @ look), 0.0, 1.0)
+            worst = max(worst, float(np.linalg.norm(g - m @ t) / np.linalg.norm(w)))
+        assert worst < 1e-2
