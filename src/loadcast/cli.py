@@ -220,11 +220,11 @@ def _run_grid_cmd(grid, args) -> int:
         grid = dataclasses.replace(grid, seeds=seeds)
     series = read_aligned_csv(args.aligned_csv)
     report = run_grid(grid, series, args.out, workers=args.workers)
-    failures = [r for r in report.results.values() if r.error is not None]
+    failures = {key: r.error for key, r in report.results.items() if r.error is not None}
     print(f"grid={grid.name} rows={len(grid.rows)} seeds={len(grid.seeds)} "
           f"failures={len(failures)}")
-    for result in failures:
-        print(f"  failed {result.row} seed{result.seed}: {result.error}", file=sys.stderr)
+    for (row, seed), error in failures.items():
+        print(f"  failed {row} seed{seed}: {error}", file=sys.stderr)
     print(f"tables under {Path(args.out) / 'tables'}")
     return 0
 

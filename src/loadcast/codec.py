@@ -58,14 +58,16 @@ def from_json(cls, doc):
         text, tp, _ = fields[name]
         try:
             kwargs[name] = _read(tp, value)
-        except ValueError:
-            raise ValueError(
-                f"{cls.__name__}.{name} must be {text}, got {reprlib.repr(value)}") from None
+        except ValueError as exc:  # a nested record's message names its own field
+            raise ValueError(f"{cls.__name__}.{name}: {exc}" if exc.args else
+                             f"{cls.__name__}.{name} must be {text}, got {reprlib.repr(value)}"
+                             ) from None
     return cls(**kwargs)
 
 
 def _read(tp, value):
-    """`value` as annotation `tp`; ValueError when it is not of that type."""
+    """`value` as annotation `tp`. A value not of that type raises a bare
+    ValueError; a nested record's ValueError carries its own message."""
     if tp is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             return value
@@ -73,8 +75,8 @@ def _read(tp, value):
         if type(value) is tp:
             return value
     elif tp is np.ndarray:
-        if isinstance(value, list):
-            array = np.array(value)  # ragged lists raise ValueError
+        if isinstance(value, list) and not any(isinstance(v, list) for v in value):
+            array = np.array(value)  # flat, so not ragged
             if array.ndim == 1 and array.dtype.kind in "iuf":
                 return array.astype(np.float64)
     elif dataclasses.is_dataclass(tp):
@@ -88,8 +90,11 @@ def _read(tp, value):
             if len(kinds) == len(value):
                 return origin(map(_read, kinds, value))
         elif origin is dict and isinstance(value, dict):
-            key = str if args[0] is str else float
-            return {key(k): _read(args[1], v) for k, v in value.items()}
+            try:
+                keys = [k if args[0] is str else float(k) for k in value]
+            except ValueError:  # a key that is not a number: a mismatch like any other
+                raise ValueError from None
+            return {k: _read(args[1], v) for k, v in zip(keys, value.values())}
     raise ValueError
 
 

@@ -53,7 +53,6 @@ class WindowedDataset:
     channel_names: tuple[str, ...]
     load_channel: int
     cfg: WindowConfig
-    fractions: tuple[float, float, float] | None = None
     n_train: int = 0
     n_val: int = 0
 
@@ -147,8 +146,7 @@ def chronological_split(raw: WindowedDataset,
     n = len(raw)
     if n < 3:
         raise TooFewSamples(f"need at least 3 windows, got {n}")
-    return dataclasses.replace(raw, fractions=fractions,
-                               n_train=math.floor(fractions[0] * n),
+    return dataclasses.replace(raw, n_train=math.floor(fractions[0] * n),
                                n_val=math.floor(fractions[1] * n))
 
 

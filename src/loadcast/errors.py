@@ -94,7 +94,7 @@ class InvalidRate(LoadcastError):
 
 
 class NonFiniteValue(LoadcastError):
-    """NaN or Inf produced in a forward or backward pass."""
+    """NaN or Inf produced in a forward or backward pass, or given to a linear solver."""
 
 
 # --- models ---------------------------------------------------------------

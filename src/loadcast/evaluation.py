@@ -23,8 +23,7 @@ from .errors import (
     UnknownKind,
     ZeroActual,
 )
-from .features import FeatureSelector
-from .ingest import AlignedSeries
+from .features import WEATHER_FEATURES, FeatureSelector, assemble
 from .models import TrainedModel, predict_batch
 
 TOLERANCE_THRESHOLDS = (1.0, 2.0, 3.0, 4.0, 5.0)
@@ -180,16 +179,9 @@ def emit_plot_data(obj, kind: str, path, selector: FeatureSelector | None = None
             for i, count in enumerate(counts):
                 writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(count)])
         else:
-            series: AlignedSeries = obj
             if selector is None:
-                selector = FeatureSelector(include_load=False,
-                                           weather_features=("temp", "swrad", "lwrad", "wind"))
-            names = [f"z{z}_{w}" for w in selector.weather_features for z in selector.zones]
-            from .features import _ZONE_COL  # canonical weather column mapping
-            writer.writerow(["load_mw"] + names)
-            for i in range(len(series)):
-                row = [repr(float(series.load_mw[i]))]
-                for w in selector.weather_features:
-                    col = _ZONE_COL[w]
-                    row.extend(repr(float(series.weather[i, z, col])) for z in selector.zones)
-                writer.writerow(row)
+                selector = FeatureSelector(weather_features=WEATHER_FEATURES)
+            matrix = assemble(obj, FeatureSelector(weather_features=selector.weather_features,
+                                                   zones=selector.zones))
+            writer.writerow(["load_mw", *matrix.channel_names[1:]])
+            writer.writerows(map(repr, row) for row in matrix.values.tolist())

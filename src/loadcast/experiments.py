@@ -54,8 +54,8 @@ TABLE_STYLES = ("table1", "table2", "table5")
 @dataclass(frozen=True)
 class GridRow:
     name: str
-    selector: FeatureSelector
-    spec: ModelSpec
+    model: ModelSpec
+    features: FeatureSelector = FeatureSelector()
 
     def __post_init__(self):  # the name becomes a directory under rows/
         name = self.name
@@ -65,12 +65,16 @@ class GridRow:
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    name: str
-    rows: tuple[GridRow, ...]
+    """A grid config; its JSON form, the field names as keys, is the config
+    file and the `config` of grid.json."""
+
+    name: str = "custom"
+    rows: tuple[GridRow, ...] = ()
     window: WindowConfig = WindowConfig()
-    fractions: tuple[float, float, float] = DEFAULT_FRACTIONS
+    split: tuple[float, float, float] = DEFAULT_FRACTIONS
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     style: str = "table2"
+    split_mode: str = "chronological"
 
     def __post_init__(self):
         names = [r.name for r in self.rows]
@@ -80,53 +84,20 @@ class ExperimentGrid:
             raise InvalidConfig(f"style must be one of {TABLE_STYLES}")
         if not self.rows or not self.seeds:
             raise InvalidConfig(f"grid {self.name!r} needs at least one row and one seed")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "style": self.style,
-            "window": to_json(self.window),
-            "split": list(self.fractions),
-            "split_mode": "chronological",
-            "seeds": list(self.seeds),
-            "rows": [
-                {"name": r.name, "features": to_json(r.selector), "model": to_json(r.spec)}
-                for r in self.rows
-            ],
-        }
+        try:
+            check_fractions(self.split)
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from None
+        if self.split_mode != "chronological":
+            raise InvalidConfig(f"split_mode must be 'chronological', got {self.split_mode!r}")
 
 
 def grid_from_config(doc: dict) -> ExperimentGrid:
-    """Build a grid from a parsed JSON document; unknown keys are rejected."""
+    """Read a grid config; unknown keys and wrong-typed values are InvalidConfig."""
     try:
-        if not isinstance(doc, dict):
-            raise InvalidConfig("grid config must be a JSON object")
-        unknown = set(doc) - {"name", "style", "window", "split", "split_mode", "seeds", "rows"}
-        if unknown:
-            raise InvalidConfig(f"unknown grid keys: {sorted(unknown)}")
-        if not isinstance(doc.get("rows"), list) or not doc["rows"]:
-            raise InvalidConfig("grid config needs a non-empty 'rows' list")
-        rows = []
-        for entry in doc["rows"]:
-            if not isinstance(entry, dict) or not {"name", "model"} <= set(entry):
-                raise InvalidConfig(f"grid row needs 'name' and 'model': {entry!r}")
-            extra = set(entry) - {"name", "features", "model"}
-            if extra:
-                raise InvalidConfig(f"unknown row keys: {sorted(extra)}")
-            selector = from_json(FeatureSelector, entry.get("features", {}))
-            rows.append(GridRow(entry["name"], selector, ModelSpec.from_dict(entry["model"])))
-        window = from_json(WindowConfig, doc.get("window", {}))
-        fractions = check_fractions(doc.get("split", DEFAULT_FRACTIONS))
-    except ValueError as exc:  # from the records' readers and check_fractions
+        return from_json(ExperimentGrid, doc)
+    except ValueError as exc:  # from the codec and the records' own checks
         raise InvalidConfig(str(exc)) from None
-    if doc.get("split_mode", "chronological") != "chronological":
-        raise InvalidConfig(f"split_mode must be 'chronological', got {doc['split_mode']!r}")
-    seeds = doc.get("seeds", DEFAULT_SEEDS)
-    if not (isinstance(seeds, (list, tuple)) and all(
-            isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
-        raise InvalidConfig(f"seeds must be a list of integers, got {seeds!r}")
-    return ExperimentGrid(doc.get("name", "custom"), tuple(rows), window,
-                          fractions, tuple(seeds), doc.get("style", "table2"))
 
 
 def _feature_rows() -> list[tuple[str, FeatureSelector]]:
@@ -157,29 +128,28 @@ def builtin_grids() -> dict[str, ExperimentGrid]:
 
     table1 = ExperimentGrid(
         "table1",
-        tuple(GridRow(kind, full, ModelSpec(kind=kind))
+        tuple(GridRow(kind, ModelSpec(kind=kind), full)
               for kind in ("svr", "fcnn", "lstm", "lrcn")),
         style="table1",
     )
     table2 = ExperimentGrid(
-        "table2", tuple(GridRow(n, s, lstm) for n, s in feature_rows))
+        "table2", tuple(GridRow(n, lstm, s) for n, s in feature_rows))
     table3 = ExperimentGrid(
         "table3",
-        tuple(GridRow(n, s, dataclasses.replace(lstm, width_multiplier=2))
+        tuple(GridRow(n, dataclasses.replace(lstm, width_multiplier=2), s)
               for n, s in feature_rows))
     table4 = ExperimentGrid(
-        "table4", tuple(GridRow(n, s, fcnn) for n, s in feature_rows))
+        "table4", tuple(GridRow(n, fcnn, s) for n, s in feature_rows))
 
-    ablation_rows = [GridRow("all", full, lstm)]
+    ablation_rows = [GridRow("all", lstm, full)]
     for removed in WEATHER_FEATURES:
         kept = tuple(w for w in WEATHER_FEATURES if w != removed)
         ablation_rows.append(GridRow(
-            f"{removed}_removed",
-            FeatureSelector(time_features=TIME_FEATURES, weather_features=kept),
-            lstm))
+            f"{removed}_removed", lstm,
+            FeatureSelector(time_features=TIME_FEATURES, weather_features=kept)))
     ablation_rows.append(GridRow(
-        "time_only", FeatureSelector(time_features=TIME_FEATURES), lstm))
-    ablation_rows.append(GridRow("fcnn", full, fcnn))
+        "time_only", lstm, FeatureSelector(time_features=TIME_FEATURES)))
+    ablation_rows.append(GridRow("fcnn", fcnn, full))
     table5 = ExperimentGrid("table5", tuple(ablation_rows), style="table5")
 
     return {"table1": table1, "table2": table2, "table3": table3,
@@ -188,8 +158,8 @@ def builtin_grids() -> dict[str, ExperimentGrid]:
 
 @dataclass
 class RowSeedResult:
-    row: str
-    seed: int
+    """One job's outcome, filed under its (row name, seed)."""
+
     mape_pct: float | None = None
     r2: float | None = None
     tolerance: dict[float, float] | None = None
@@ -232,12 +202,11 @@ class GridReport:
             per_seed = {}
             for seed in self.grid.seeds:
                 result = self.results.get((row.name, seed))
-                if result is not None:  # row and seed are the keys it is filed under
-                    per_seed[str(seed)] = {k: v for k, v in to_json(result).items()
-                                           if k not in ("row", "seed")}
+                if result is not None:
+                    per_seed[str(seed)] = to_json(result)
             rows[row.name] = {"per_seed": per_seed, "aggregate": to_json(self.aggregate(row.name))}
         return {
-            "config": self.grid.to_dict(),
+            "config": to_json(self.grid),
             "config_hash": self.config_hash,
             "data_hash": self.data_hash,
             "code_version": self.code_version,
@@ -254,17 +223,17 @@ def _run_one(grid: ExperimentGrid, row: GridRow, seed: int, series: AlignedSerie
             load_model(model_path)  # checksum + structure check
             report = EvaluationReport.load_json(report_path)
         except (OSError, LoadcastError, ValueError, RecursionError):  # missing or invalid: retrain
-            matrix = assemble(series, row.selector)
+            matrix = assemble(series, row.features)
             raw = build_windows(matrix, series.segments, series.stamps, grid.window)
-            ds = chronological_split(raw, grid.fractions)
-            model = train(ds, dataclasses.replace(row.spec, seed=seed), row.selector)
+            ds = chronological_split(raw, grid.split)
+            model = train(ds, dataclasses.replace(row.model, seed=seed), row.features)
             report = evaluate(model, ds, "test")
             row_dir.mkdir(parents=True, exist_ok=True)
             save_model(model, model_path)
             report.save_json(report_path)
-        return RowSeedResult(row.name, seed, report.mape_pct, report.r2, dict(report.tolerance))
+        return RowSeedResult(report.mape_pct, report.r2, dict(report.tolerance))
     except Exception as exc:  # record per-row failures, keep the run alive
-        return RowSeedResult(row.name, seed, error=f"{type(exc).__name__}: {exc}")
+        return RowSeedResult(error=f"{type(exc).__name__}: {exc}")
 
 
 def _vouched_rows(record: Path, config_doc: dict, data_hash: str) -> set[str]:
@@ -296,7 +265,7 @@ def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_doc = grid.to_dict()
+    config_doc = to_json(grid)
     report = GridReport(
         grid,
         data_hash=series.content_hash(),

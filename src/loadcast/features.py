@@ -54,16 +54,8 @@ class FeatureSelector:
         object.__setattr__(self, "zones", tuple(sorted(set(self.zones))))
 
     @property
-    def values_per_time_feature(self) -> int:
-        return 2 if self.time_encoding == "cyclical" else 1
-
-    @property
     def channel_count(self) -> int:
-        return (
-            (1 if self.include_load else 0)
-            + len(self.time_features) * self.values_per_time_feature
-            + len(self.weather_features) * len(self.zones)
-        )
+        return len(self.channel_names())
 
     def channel_names(self) -> tuple[str, ...]:
         names: list[str] = []
@@ -128,7 +120,8 @@ class FeatureMatrix:
 
 def assemble(series: AlignedSeries, selector: FeatureSelector) -> FeatureMatrix:
     """Build the numeric feature matrix for every row of an aligned series."""
-    if selector.channel_count == 0:
+    names = selector.channel_names()
+    if not names:
         raise EmptySelector("selector yields zero channels")
     n = len(series)
     columns: list[np.ndarray] = []
@@ -144,4 +137,4 @@ def assemble(series: AlignedSeries, selector: FeatureSelector) -> FeatureMatrix:
             columns.append(series.weather[:, z, col])
     values = np.column_stack(columns) if columns else np.empty((n, 0))
     values.setflags(write=False)
-    return FeatureMatrix(values, selector.channel_names(), load_channel)
+    return FeatureMatrix(values, names, load_channel)

@@ -129,19 +129,10 @@ def build_model(spec: ModelSpec, t1: int, channels: int, t2: int,
             layers.append(Dense(width_in, width * m, "relu", rng))
             width_in = width * m
         layers.append(Dense(width_in, t2, "identity", rng))
-    elif spec.kind == "lstm":
-        width_in = channels
-        for _ in range(spec.lstm_layers):
-            layers.append(LSTM(width_in, spec.lstm_hidden * m, rng))
-            width_in = spec.lstm_hidden * m
-        layers.append(Flatten())
-        layers.append(Dense(t1 * width_in, spec.dense_size * m, "relu", rng))
-        layers.append(Dropout(spec.dropout))
-        layers.append(Dense(spec.dense_size * m, t2, "identity", rng))
-    elif spec.kind == "lrcn":
+    elif spec.kind in ("lstm", "lrcn"):  # an lstm is an lrcn without the conv stack
         steps = t1
         width_in = channels
-        for _ in range(spec.conv_layers):
+        for _ in range(spec.conv_layers if spec.kind == "lrcn" else 0):
             if steps < spec.conv_kernel:
                 raise InvalidSpec(
                     f"conv stack consumes the {t1}-hour window: {steps} steps left "
@@ -333,9 +324,8 @@ def load(path) -> TrainedModel:
         expected = {"svr_w": (t2, t1 * channels), "svr_b": (t2,)}
     else:
         # the stored arrays bound the depth of the network built to check them
-        count = {"fcnn": 2 * (len(spec.fcnn_hidden) + 1),
-                 "lstm": 3 * spec.lstm_layers + 4,
-                 "lrcn": 2 * spec.conv_layers + 3 * spec.lstm_layers + 4}[spec.kind]
+        count = (2 * (len(spec.fcnn_hidden) + 1) if spec.kind == "fcnn" else
+                 2 * spec.conv_layers * (spec.kind == "lrcn") + 3 * spec.lstm_layers + 4)
         if count != len(arrays):
             raise CorruptArtifact(f"{spec.kind} artifact arrays do not fit its spec: "
                                   f"it declares {count} arrays and stores {len(arrays)}")

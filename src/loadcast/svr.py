@@ -14,7 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonConvergence, SingularSystem
+from .errors import NonConvergence, NonFiniteValue, SingularSystem
+
+
+def _finite(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float64 arrays; NonFiniteValue when either holds a NaN or Inf."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteValue("solver inputs hold NaN or Inf")
+    return x, y
 
 
 def _normal_equations(x: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -30,11 +38,10 @@ def _normal_equations(x: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray
 def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float = 1e-6) -> tuple[np.ndarray, float]:
     """Closed-form ridge fit; returns (w, b).
 
-    Raises SingularSystem when lam == 0 and the design (with intercept
-    column) is rank-deficient.
+    Raises NonFiniteValue when x or y holds a NaN or Inf, and SingularSystem
+    when lam == 0 and the design (with intercept column) is rank-deficient.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _finite(x, y)
     d = x.shape[1]
     a, gram = _normal_equations(x, lam)
     if lam == 0 and np.linalg.matrix_rank(a) < d + 1:
@@ -61,10 +68,10 @@ def fit_epsilon(x: np.ndarray, y: np.ndarray, epsilon: float = 0.01, c: float = 
     (w, b) step is a ridge fit to y - z - u with lam = 1/(rho*n), whose
     matrix is inverted once per fit; the z step is the hinge's closed-form
     proximal map. Stops when the primal and dual residuals are both within
-    tolerance; raises NonConvergence when max_iter iterations run out first.
+    tolerance; raises NonConvergence when max_iter iterations run out first,
+    and NonFiniteValue at once when x or y holds a NaN or Inf.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _finite(x, y)
     n, d = x.shape
     rho, kappa = _RHO_N / n, c / _RHO_N
     a, gram = _normal_equations(x, 1.0 / _RHO_N)

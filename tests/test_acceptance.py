@@ -243,10 +243,10 @@ def test_criterion_6_feature_grid_sanity(two_year_series, tmp_path):
     grid = ExperimentGrid(
         "feature_sanity",
         (
-            GridRow("loads_only", FeatureSelector(), lstm),
-            GridRow("load_hour_month_temp",
+            GridRow("loads_only", lstm, FeatureSelector()),
+            GridRow("load_hour_month_temp", lstm,
                     FeatureSelector(time_features=("hour", "month"),
-                                    weather_features=("temp",)), lstm),
+                                    weather_features=("temp",))),
         ),
         seeds=(0, 1, 2),
     )
@@ -283,11 +283,11 @@ def test_criterion_7_determinism_and_round_trips(tmp_path):
     grid = ExperimentGrid(
         "det",
         (
-            GridRow("fcnn", FeatureSelector(time_features=("hour",)),
+            GridRow("fcnn",
                     ModelSpec(kind="fcnn", fcnn_hidden=(8,), epochs=3,
-                              batch_size=64)),
-            GridRow("svr", FeatureSelector(),
-                    ModelSpec(kind="svr", svr_mode="ridge")),
+                              batch_size=64), FeatureSelector(time_features=("hour",))),
+            GridRow("svr",
+                    ModelSpec(kind="svr", svr_mode="ridge"), FeatureSelector()),
         ),
         seeds=(0,),
     )

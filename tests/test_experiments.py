@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import loadcast.experiments as experiments
+from loadcast.codec import to_json
 from loadcast.dataset import WindowConfig
 from loadcast.errors import DatasetTooSmall, InvalidConfig, LoadcastError, MissingRows
 from loadcast.experiments import (
@@ -26,8 +28,8 @@ from _util import mutated, toy_series
 
 def tiny_grid(seeds=(0, 1), name="tiny"):
     rows = (
-        GridRow("persistence", FeatureSelector(), ModelSpec(kind="persistence")),
-        GridRow("svr_ridge", all_features(), ModelSpec(kind="svr", svr_mode="ridge")),
+        GridRow("persistence", ModelSpec(kind="persistence"), FeatureSelector()),
+        GridRow("svr_ridge", ModelSpec(kind="svr", svr_mode="ridge"), all_features()),
     )
     return ExperimentGrid(name, rows, WindowConfig(), (0.45, 0.45, 0.10), seeds)
 
@@ -36,79 +38,97 @@ class TestBuiltinGrids:
     def test_table1_has_four_model_rows(self):
         grid = builtin_grids()["table1"]
         assert [r.name for r in grid.rows] == ["svr", "fcnn", "lstm", "lrcn"]
-        assert all(r.selector == all_features() for r in grid.rows)
+        assert all(r.features == all_features() for r in grid.rows)
 
     def test_table2_row7_selector(self):
         grid = builtin_grids()["table2"]
         row = grid.rows[6]
         assert row.name == "load_hour_month_temp"
-        assert row.selector == FeatureSelector(time_features=("hour", "month"),
+        assert row.features == FeatureSelector(time_features=("hour", "month"),
                                                weather_features=("temp",))
-        assert row.spec.kind == "lstm" and row.spec.width_multiplier == 1
+        assert row.model.kind == "lstm" and row.model.width_multiplier == 1
 
     def test_table3_doubles_widths(self):
         grid = builtin_grids()["table3"]
-        assert all(r.spec.width_multiplier == 2 for r in grid.rows)
+        assert all(r.model.width_multiplier == 2 for r in grid.rows)
 
     def test_table4_uses_fcnn(self):
         grid = builtin_grids()["table4"]
-        assert all(r.spec.kind == "fcnn" for r in grid.rows)
+        assert all(r.model.kind == "fcnn" for r in grid.rows)
 
     def test_table5_time_only_selector(self):
         grid = builtin_grids()["table5"]
         by_name = {r.name: r for r in grid.rows}
-        assert by_name["time_only"].selector == FeatureSelector(
+        assert by_name["time_only"].features == FeatureSelector(
             time_features=("hour", "day_of_week", "month"))
 
     def test_table5_removals_drop_exactly_eight_channels(self):
         grid = builtin_grids()["table5"]
         by_name = {r.name: r for r in grid.rows}
-        full = by_name["all"].selector.channel_count
+        full = by_name["all"].features.channel_count
         for removed in ("temp", "swrad", "lwrad", "wind"):
             row = by_name[f"{removed}_removed"]
-            assert full - row.selector.channel_count == 8
+            assert full - row.features.channel_count == 8
 
     def test_table5_includes_fcnn_reference_row(self):
         grid = builtin_grids()["table5"]
         by_name = {r.name: r for r in grid.rows}
-        assert by_name["fcnn"].spec.kind == "fcnn"
-        assert by_name["fcnn"].selector == all_features()
+        assert by_name["fcnn"].model.kind == "fcnn"
+        assert by_name["fcnn"].features == all_features()
         assert grid.style == "table5"
 
 
 class TestGridConfig:
+    @pytest.mark.parametrize("name,digest", [
+        ("table1", "85470eda95dc17a32a178b188cc34cd076603cf719993777531f627f64c8f579"),
+        ("table2", "6ca76197980357e5d3450b118290c16dbd182c9758bf6aeb1148395590b31d5e"),
+        ("table3", "94bce58d5d634b298627e41c9f2f23b21c0b369ea7b6653519d83181dd394fb7"),
+        ("table4", "e054cdd45e327bcf1c33cefd9db3b0adb57a00b02176a6de1fb4da7865906ef1"),
+        ("table5", "1fc708a48570f81259393944232fa13f817502728cb0886d31aae7e459b35446"),
+    ])
+    def test_builtin_config_hash_pinned(self, name, digest):
+        # the config that grid.json records and config_hash hashes
+        config = GridReport(builtin_grids()[name]).to_json_dict()["config"]
+        assert hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest() == digest
+
+    def test_wrong_typed_model_field_named(self):
+        doc = to_json(tiny_grid())
+        doc["rows"][1]["model"]["lstm_hidden"] = "64"
+        with pytest.raises(InvalidConfig, match="GridRow.model: ModelSpec.lstm_hidden must be int"):
+            grid_from_config(doc)
+
     def test_round_trip_through_config(self):
         grid = tiny_grid()
-        back = grid_from_config(grid.to_dict())
+        back = grid_from_config(to_json(grid))
         assert back.rows == grid.rows
         assert back.seeds == grid.seeds
 
     def test_unknown_keys_rejected(self):
-        doc = tiny_grid().to_dict()
+        doc = to_json(tiny_grid())
         doc["parallelism"] = 4
         with pytest.raises(InvalidConfig):
             grid_from_config(doc)
 
     def test_duplicate_row_names_rejected(self):
-        rows = (GridRow("a", FeatureSelector(), ModelSpec(kind="persistence")),) * 2
+        rows = (GridRow("a", ModelSpec(kind="persistence"), FeatureSelector()),) * 2
         with pytest.raises(InvalidConfig):
             ExperimentGrid("dup", rows)
 
     def test_bad_window_rejected(self):
         for window in ({"t1": 0}, {"t1": 6, "t2": 8785}):
-            doc = tiny_grid().to_dict()
+            doc = to_json(tiny_grid())
             doc["window"] = window
             with pytest.raises(InvalidConfig):
                 grid_from_config(doc)
 
     def test_bad_split_rejected(self):
         for change in ({"split": [0.5, 0.5]}, {"split_mode": "random"}):
-            doc = {**tiny_grid().to_dict(), **change}
+            doc = {**to_json(tiny_grid()), **change}
             with pytest.raises(InvalidConfig):
                 grid_from_config(doc)
 
     def test_empty_seeds_rejected(self):
-        doc = tiny_grid().to_dict()
+        doc = to_json(tiny_grid())
         doc["seeds"] = []
         with pytest.raises(InvalidConfig):
             grid_from_config(doc)
@@ -117,13 +137,13 @@ class TestGridConfig:
 
     @pytest.mark.parametrize("name", [5, None, "", ".", "..", "/tmp/x", "a/b", "a\\b"])
     def test_row_name_must_be_one_path_component(self, name):
-        doc = tiny_grid().to_dict()
+        doc = to_json(tiny_grid())
         doc["rows"][1]["name"] = name
         with pytest.raises(InvalidConfig):
             grid_from_config(doc)
 
     @settings(max_examples=300, deadline=None)
-    @given(doc=mutated(tiny_grid().to_dict()))
+    @given(doc=mutated(to_json(tiny_grid())))
     def test_mutated_config_builds_or_raises_loadcast_error(self, doc):
         try:
             grid_from_config(doc)
@@ -172,9 +192,9 @@ class TestRunGrid:
         run_grid(tiny_grid(), series, tmp_path)
         # same row names, different model spec: stale artifacts must not be reused
         rows = (
-            GridRow("persistence", FeatureSelector(), ModelSpec(kind="persistence")),
-            GridRow("svr_ridge", all_features(),
-                    ModelSpec(kind="svr", svr_mode="ridge", svr_lambda=10.0)),
+            GridRow("persistence", ModelSpec(kind="persistence"), FeatureSelector()),
+            GridRow("svr_ridge",
+                    ModelSpec(kind="svr", svr_mode="ridge", svr_lambda=10.0), all_features()),
         )
         changed = ExperimentGrid("tiny", rows, WindowConfig(), (0.45, 0.45, 0.10), (0, 1))
         report = run_grid(changed, series, tmp_path)
@@ -192,7 +212,7 @@ class TestRunGrid:
     def test_changed_window_or_split_retrains_every_row(self, tmp_path, window, fractions):
         series = toy_series(160, seed=1)
         run_grid(tiny_grid(), series, tmp_path / "reused")
-        changed = dataclasses.replace(tiny_grid(), window=window, fractions=fractions)
+        changed = dataclasses.replace(tiny_grid(), window=window, split=fractions)
         run_grid(changed, series, tmp_path / "reused")
         run_grid(changed, series, tmp_path / "fresh")
         files = [p for p in sorted((tmp_path / "fresh").rglob("*")) if p.is_file()]
@@ -252,10 +272,10 @@ class TestRunGrid:
 
     def test_failures_recorded_not_fatal(self, tmp_path):
         rows = (
-            GridRow("persistence", FeatureSelector(), ModelSpec(kind="persistence")),
+            GridRow("persistence", ModelSpec(kind="persistence"), FeatureSelector()),
             # conv kernel larger than the window: this row must fail cleanly
-            GridRow("bad_lrcn", FeatureSelector(),
-                    ModelSpec(kind="lrcn", conv_kernel=7, epochs=1)),
+            GridRow("bad_lrcn",
+                    ModelSpec(kind="lrcn", conv_kernel=7, epochs=1), FeatureSelector()),
         )
         grid = ExperimentGrid("mixed", rows, seeds=(0,))
         report = run_grid(grid, toy_series(160, seed=1), tmp_path)
@@ -273,9 +293,9 @@ class TestRunGrid:
         grid = tiny_grid()
         origins = []
         for row in grid.rows:
-            matrix = assemble(series, row.selector)
+            matrix = assemble(series, row.features)
             raw = build_windows(matrix, series.segments, series.stamps, grid.window)
-            ds = chronological_split(raw, grid.fractions)
+            ds = chronological_split(raw, grid.split)
             origins.append(ds.split_origins("test"))
         assert np.array_equal(origins[0], origins[1])
 
@@ -284,8 +304,8 @@ class TestRunGrid:
             run_grid(tiny_grid(), toy_series(11), tmp_path)
 
     def test_all_rows_failing_still_writes_grid_json(self, tmp_path):
-        rows = (GridRow("bad", FeatureSelector(),
-                        ModelSpec(kind="lrcn", conv_kernel=7, epochs=1)),)
+        rows = (GridRow("bad",
+                        ModelSpec(kind="lrcn", conv_kernel=7, epochs=1), FeatureSelector()),)
         grid = ExperimentGrid("doomed", rows, seeds=(0,))
         report = run_grid(grid, toy_series(160, seed=1), tmp_path)
         assert report.results[("bad", 0)].error is not None

@@ -59,7 +59,7 @@ def synthetic_linear_dataset(n=240, channels=3, t1=6, t2=4, seed=0):
     origins = BASE + np.arange(n)
     names = tuple(f"c{i}" for i in range(channels))
     return WindowedDataset(inputs, targets, origins, names, 0, WindowConfig(t1, t2),
-                           (0.45, 0.45, 0.10), int(0.45 * n), int(0.45 * n))
+                           int(0.45 * n), int(0.45 * n))
 
 
 class TestModelSpec:
@@ -151,7 +151,7 @@ class TestTraining:
         targets = rng.uniform(30000, 50000, size=(n, 4))
         origins = BASE + np.arange(n)
         ds = WindowedDataset(inputs, targets, origins, ("load", "x"), 0,
-                             WindowConfig(), (0.45, 0.45, 0.10), 27, 27)
+                             WindowConfig(), 27, 27)
         spec = ModelSpec(kind="fcnn", fcnn_hidden=(64,), epochs=200, batch_size=32,
                          patience=0, base_lr=0.02, seed=2)
         model = train(ds, spec, FeatureSelector())
@@ -174,7 +174,7 @@ class TestTraining:
         targets = np.repeat(1.5 * inputs[:, -1, 0:1] - 2000.0, 4, axis=1)
         origins = BASE + np.arange(n)
         ds = WindowedDataset(inputs, targets, origins, ("load", "x"), 0,
-                             WindowConfig(), (0.45, 0.45, 0.10), 10, 10)
+                             WindowConfig(), 10, 10)
         spec = ModelSpec(kind=kind, epochs=250, batch_size=64, patience=10**9,
                          base_lr=1e-3, seed=0, **extra)
         model = train(ds, spec, FeatureSelector())
@@ -452,6 +452,14 @@ class TestSaveLoad:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+    def test_wrong_typed_spec_field_named(self, tmp_path):
+        header, sections = _artifact_parts("lstm")
+        path = tmp_path / "model.lcst"
+        path.write_bytes(_signed({**header, "spec": {**header["spec"], "lstm_hidden": "64"}},
+                                 sections))
+        with pytest.raises(CorruptArtifact, match="ModelSpec.lstm_hidden must be int"):
+            load(path)
 
     @pytest.mark.parametrize("change", [
         lambda header: {**header, "load_channel": 5},

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loadcast.errors import NonConvergence, SingularSystem
+from loadcast.errors import NonConvergence, NonFiniteValue, SingularSystem
 from loadcast.svr import fit_epsilon, fit_ridge
 
 
@@ -34,6 +34,23 @@ class TestRidge:
         x = np.ones((10, 2))
         w, b = fit_ridge(x, np.full(10, 2.0), lam=1e-3)
         assert np.isfinite(w).all() and np.isfinite(b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_non_finite_inputs_rejected_before_solving(where, bad):
+    # a NaN makes every residual comparison false, so ADMM would spin to max_iter
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(200, 8))
+    y = x @ rng.normal(size=8)
+    if where == "x":
+        x[17, 3] = bad
+    else:
+        y[17] = bad
+    with pytest.raises(NonFiniteValue):
+        fit_ridge(x, y)
+    with pytest.raises(NonFiniteValue):
+        fit_epsilon(x, y, max_iter=50)
 
 
 class TestEpsilon:
