@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import replace_atomically
+from .codec import parse_json, replace_atomically
 from .errors import CorruptArtifact, VersionMismatch
 
 MAGIC = b"LCST"
@@ -79,8 +79,8 @@ def read_artifact(path) -> tuple[dict, dict[str, np.ndarray]]:
     reader.take(len(MAGIC) + 4)
     header_len = reader.u32()
     try:
-        header = json.loads(reader.take(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+        header = parse_json(reader.take(header_len).decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise CorruptArtifact(f"bad header: {exc}") from None
     arrays: dict[str, np.ndarray] = {}
     count = reader.u32()

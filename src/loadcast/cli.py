@@ -8,15 +8,15 @@ every command is deterministic given its flags, config, seed, and inputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
+import reprlib
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .codec import from_json, replace_atomically, to_json, write_json
+from .codec import from_json, read_json, to_json, write_csv, write_json
 from .dataset import (
     DEFAULT_FRACTIONS,
     SPLITS,
@@ -72,6 +72,11 @@ def resolve_config(doc: dict) -> dict:
             resolved[section] = doc.get(section, defaults)
             continue
         resolved[section] = _merge_section(section, defaults, doc.get(section, {}))
+    if not isinstance(resolved["output"], str):
+        raise ConfigError(f"output must be a path, got {reprlib.repr(resolved['output'])}")
+    for key, path in resolved["data"].items():
+        if not isinstance(path, (str, type(None))):
+            raise ConfigError(f"data.{key} must be a path or null, got {reprlib.repr(path)}")
     return resolved
 
 
@@ -93,14 +98,6 @@ def _load_series(data: dict):
     if data.get("load") and data.get("weather"):
         return load_and_align(data["load"], data["weather"])
     raise ConfigError("data section needs 'aligned' or both 'load' and 'weather'")
-
-
-def _read_json(path):
-    text = Path(path).read_text()
-    try:
-        return json.loads(text)
-    except RecursionError:  # nested deeper than the recursion limit
-        raise json.JSONDecodeError("nested too deep", text, 0) from None
 
 
 def _parse_fractions(text: str) -> tuple[float, float, float]:
@@ -131,7 +128,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    resolved = resolve_config(_read_json(args.config))
+    resolved = resolve_config(read_json(args.config))
     if args.seed is not None:
         resolved["training"]["seed"] = args.seed
     if args.out is not None:
@@ -149,12 +146,7 @@ def cmd_train(args) -> int:
     write_json(out_dir / "config.json", resolved)
     model_path = out_dir / "model.lcst"
     save_model(model, model_path)
-    with (replace_atomically(out_dir / "history.csv") as tmp,
-          open(tmp, "w", newline="", encoding="utf-8") as fh):
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for epoch, tr, va in model.history:
-            writer.writerow([epoch, repr(tr), repr(va)])
+    write_csv(out_dir / "history.csv", ["epoch", "train_loss", "val_loss"], model.history)
     print(f"wrote {model_path}")
     print(f"kind={spec.kind} windows={len(ds)} train={ds.n_train} "
           f"val={ds.n_val} test={ds.n_test} epochs_run={len(model.history)}")
@@ -203,7 +195,7 @@ def _resolve_grid(name_or_path: str):
         return grids[name_or_path]
     path = Path(name_or_path)
     if path.exists():
-        return grid_from_config(_read_json(path))
+        return grid_from_config(read_json(path))
     raise ConfigError(
         f"unknown grid {name_or_path!r}; builtins: {', '.join(sorted(grids))} "
         "(or pass a JSON grid config path)")

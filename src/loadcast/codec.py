@@ -1,4 +1,5 @@
-"""One JSON form for loadcast's records (dataclasses), and atomic file writes.
+"""loadcast's file boundary: one JSON form for its records (dataclasses),
+the JSON and CSV files they go to and come from, and atomic file writes.
 
 `from_json` checks each value against its field's annotation instead of
 coercing it; an int may stand for a float, and a missing field takes its
@@ -7,6 +8,7 @@ default. Non-string dict keys are written as their `repr` (``"1.0"``).
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 import json
@@ -114,9 +116,35 @@ def replace_atomically(path):
 def write_text(path, text: str) -> None:
     """Replace `path` atomically with `text`."""
     with replace_atomically(path) as tmp:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
+
+
+def write_csv(path, header, rows) -> None:
+    """Replace `path` atomically with a UTF-8 CSV of `header`, then `rows`.
+
+    The csv module writes a float as its repr, the shortest text that parses
+    back to the same float, so pass Python floats (`ndarray.tolist()`).
+    """
+    with replace_atomically(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_json(path, doc) -> None:
     """Write `doc` as sorted, indented JSON, replacing `path` atomically."""
     write_text(path, json.dumps(doc, sort_keys=True, indent=1))
+
+
+def parse_json(text: str):
+    """`json.loads`; JSON nested deeper than the recursion limit is a
+    JSONDecodeError like any other malformed document."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deep", text, 0) from None
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file `path`."""
+    return parse_json(Path(path).read_text(encoding="utf-8"))

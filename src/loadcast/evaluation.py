@@ -7,14 +7,11 @@ accuracy counts individual predicted points by default; a per-sample variant
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .codec import from_json, replace_atomically, to_json, write_json
+from .codec import from_json, read_json, to_json, write_csv, write_json
 from .dataset import WindowedDataset
 from .errors import (
     DegenerateActual,
@@ -117,7 +114,7 @@ class EvaluationReport:
 
     @classmethod
     def load_json(cls, path) -> "EvaluationReport":
-        return from_json(cls, json.loads(Path(path).read_text()))
+        return from_json(cls, read_json(path))
 
 
 def evaluate(model: TrainedModel, dataset: WindowedDataset, split: str) -> EvaluationReport:
@@ -166,22 +163,18 @@ def emit_plot_data(obj, kind: str, path, selector: FeatureSelector | None = None
     """
     if kind not in PLOT_KINDS:
         raise UnknownKind(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
-    with replace_atomically(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if kind == "pred_vs_actual":
-            report: EvaluationReport = obj
-            writer.writerow(["predicted_mw", "actual_mw"])
-            for p, a in zip(report.predicted, report.actual):
-                writer.writerow([repr(float(p)), repr(float(a))])
-        elif kind == "error_histogram":
-            counts, edges = np.histogram(obj.ape_pct, bins=50)
-            writer.writerow(["bin_left_pct", "bin_right_pct", "count"])
-            for i, count in enumerate(counts):
-                writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(count)])
-        else:
-            if selector is None:
-                selector = FeatureSelector(weather_features=WEATHER_FEATURES)
-            matrix = assemble(obj, FeatureSelector(weather_features=selector.weather_features,
-                                                   zones=selector.zones))
-            writer.writerow(["load_mw", *matrix.channel_names[1:]])
-            writer.writerows(map(repr, row) for row in matrix.values.tolist())
+    if kind == "pred_vs_actual":
+        header = ["predicted_mw", "actual_mw"]
+        rows = zip(obj.predicted.tolist(), obj.actual.tolist())
+    elif kind == "error_histogram":
+        counts, edges = np.histogram(obj.ape_pct, bins=50)
+        header = ["bin_left_pct", "bin_right_pct", "count"]
+        rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
+    else:
+        if selector is None:
+            selector = FeatureSelector(weather_features=WEATHER_FEATURES)
+        matrix = assemble(obj, FeatureSelector(weather_features=selector.weather_features,
+                                               zones=selector.zones))
+        header = ["load_mw", *matrix.channel_names[1:]]
+        rows = matrix.values.tolist()
+    write_csv(path, header, rows)

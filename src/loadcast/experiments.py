@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codec import from_json, to_json, write_json, write_text
+from .codec import from_json, read_json, to_json, write_json, write_text
 from .dataset import (
     DEFAULT_FRACTIONS,
     WindowConfig,
@@ -80,6 +80,8 @@ class ExperimentGrid:
         names = [r.name for r in self.rows]
         if len(set(names)) != len(names):
             raise InvalidConfig(f"duplicate grid row names in {self.name!r}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise InvalidConfig(f"duplicate seeds in grid {self.name!r}")
         if self.style not in TABLE_STYLES:
             raise InvalidConfig(f"style must be one of {TABLE_STYLES}")
         if not self.rows or not self.seeds:
@@ -222,7 +224,7 @@ def _run_one(grid: ExperimentGrid, row: GridRow, seed: int, series: AlignedSerie
         try:  # run_grid has removed every artifact its record does not vouch for
             load_model(model_path)  # checksum + structure check
             report = EvaluationReport.load_json(report_path)
-        except (OSError, LoadcastError, ValueError, RecursionError):  # missing or invalid: retrain
+        except (OSError, LoadcastError, ValueError):  # missing or invalid: retrain
             matrix = assemble(series, row.features)
             raw = build_windows(matrix, series.segments, series.stamps, grid.window)
             ds = chronological_split(raw, grid.split)
@@ -240,7 +242,7 @@ def _vouched_rows(record: Path, config_doc: dict, data_hash: str) -> set[str]:
     """Names of this grid's rows that the earlier `record` lists unchanged, if
     that record was made on the same data, window and split."""
     try:
-        old = json.loads(record.read_text())
+        old = read_json(record)
         if (old["data_hash"], old["config"]["window"], old["config"]["split"]) == (
                 data_hash, config_doc["window"], config_doc["split"]):
             return {row["name"] for row in config_doc["rows"] if row in old["config"]["rows"]}
@@ -257,6 +259,8 @@ def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
     artifacts that load of each row that the earlier record lists unchanged,
     on the same data, window and split; every other job retrains.
     """
+    if workers < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {workers}")
     span = grid.window.span
     total = sum(max(0, length - span + 1) for _, length in series.segments)
     if total < 3:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import replace_atomically
+from .codec import write_csv
 from .errors import (
     DuplicateTimestamp,
     DuplicateZoneHour,
@@ -401,11 +401,8 @@ def write_aligned_csv(series: AlignedSeries, path) -> None:
     file, if any, as it was.
     """
     values = np.column_stack([series.load_mw, series.weather.reshape(len(series), -1)])
-    with replace_atomically(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(aligned_csv_header())
-        writer.writerows(zip(format_hour(series.stamps).tolist(),
-                             *(map(repr, col) for col in values.T.tolist())))
+    write_csv(path, aligned_csv_header(),
+              zip(format_hour(series.stamps).tolist(), *values.T.tolist()))
 
 
 def read_aligned_csv(path) -> AlignedSeries:

@@ -11,15 +11,14 @@ cooling/heating demand does.
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .codec import replace_atomically
+from .codec import write_csv
 from .errors import InvalidConfig
-from .ingest import cst_to_utc, format_hour
+from .ingest import LOAD_HEADER, N_ZONES, WEATHER_HEADER, cst_to_utc, format_hour
 
 HOURS_PER_YEAR = 8760
 START = np.datetime64("2015-01-01T00", "h")
@@ -101,23 +100,9 @@ def generate_synthetic(years: float, seed: int, out_dir) -> tuple[Path, Path]:
     load_path = out_dir / "load.csv"
     weather_path = out_dir / "weather.csv"
 
-    with replace_atomically(load_path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp_cst", "load_mw"])
-        for i, stamp in enumerate(format_hour(stamps)):
-            writer.writerow([stamp, repr(float(loads[i]))])
-
-    with (replace_atomically(weather_path) as tmp,
-          open(tmp, "w", newline="", encoding="utf-8") as fh):
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp_utc", "zone_id", "temp_k", "wind_u_ms",
-                         "wind_v_ms", "lwrad_wm2", "swrad_wm2"])
-        for i, utc in enumerate(format_hour(cst_to_utc(stamps))):
-            for z in range(8):
-                writer.writerow([
-                    utc, z,
-                    repr(float(temp[i, z])), repr(float(wind_u[i, z])),
-                    repr(float(wind_v[i, z])), repr(float(lwrad[i, z])),
-                    repr(float(swrad[i, z])),
-                ])
+    write_csv(load_path, LOAD_HEADER, zip(format_hour(stamps).tolist(), loads.tolist()))
+    write_csv(weather_path, WEATHER_HEADER, zip(
+        np.repeat(format_hour(cst_to_utc(stamps)), N_ZONES).tolist(),
+        np.tile(np.arange(N_ZONES), n_hours).tolist(),
+        *(column.reshape(-1).tolist() for column in (temp, wind_u, wind_v, lwrad, swrad))))
     return load_path, weather_path

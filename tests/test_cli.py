@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -114,6 +115,14 @@ class TestTrain:
         resolved = json.loads((tmp_path / "out" / "config.json").read_text())
         assert resolved["window"] == {"t1": 6, "t2": 4}  # defaults echoed
 
+    def test_history_csv_golden_bytes(self, aligned_csv, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(train_config(aligned_csv, tmp_path / "out", epochs=2)))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        history = (tmp_path / "out" / "history.csv").read_bytes()
+        assert hashlib.sha256(history).hexdigest() == (
+            "430ff78f25c8b28c7c311a01758349f021dd132f762c6d5184ff65d7c6530636")
+
     def test_invalid_window_fails_before_reading_data(self, tmp_path, capsys):
         cfg = train_config("/nonexistent/aligned.csv", tmp_path / "out")
         cfg["window"] = {"t1": 0}
@@ -153,6 +162,9 @@ class TestTrain:
         ("model", "svr_c", 0, "InvalidSpec"),
         ("model", "svr_epsilon", -0.1, "InvalidSpec"),
         ("window", "t2", 8785, "ConfigError"),
+        # a path of another type: open() would read file descriptor 5
+        ("data", "aligned", 5, "ConfigError"),
+        ("data", "load", ["x"], "ConfigError"),
     ])
     def test_wrong_typed_field_rejected(self, tmp_path, capsys, section, key, value, code):
         cfg = train_config("/nonexistent/aligned.csv", tmp_path / "out")
@@ -161,6 +173,14 @@ class TestTrain:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert f"error[{code}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output", [5, None])
+    def test_wrong_typed_output_rejected(self, tmp_path, capsys, output):
+        cfg = {**train_config("/nonexistent/aligned.csv", tmp_path / "out"), "output": output}
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert "error[ConfigError]: output must be a path" in capsys.readouterr().err
 
     def test_default_config_matches_dataclass_defaults(self):
         resolved = resolve_config({})

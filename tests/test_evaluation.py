@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -220,6 +221,17 @@ class TestEmitPlotData:
         rows = list(csv.reader(path.open()))
         assert len(rows[0]) == 1 + 4  # load + 2 features x 2 zones
         assert len(rows) == 51
+
+    @pytest.mark.parametrize("kind,digest", [
+        ("pred_vs_actual", "d19fe6b027339d063f48f4258c3414d2775a6f5ef75788a201e4518753a6d575"),
+        ("error_histogram", "1771708ec510ff68c79c0a1e059c6682f68aeee0e371330cc5a8d28477eda060"),
+        ("scatter_load_vs_weather",
+         "0d40cdf86a4ade6a267c26b1341652daf9a90a737b4be7a71301147394633843"),
+    ])
+    def test_golden_bytes(self, tmp_path, kind, digest):
+        obj = toy_series(50, seed=9) if kind == "scatter_load_vs_weather" else self._report()
+        emit_plot_data(obj, kind, tmp_path / "plot.csv")
+        assert hashlib.sha256((tmp_path / "plot.csv").read_bytes()).hexdigest() == digest
 
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(UnknownKind):

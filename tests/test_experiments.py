@@ -114,6 +114,14 @@ class TestGridConfig:
         with pytest.raises(InvalidConfig):
             ExperimentGrid("dup", rows)
 
+    def test_duplicate_seeds_rejected(self):
+        doc = to_json(tiny_grid())
+        doc["seeds"] = [1, 1, 2]
+        with pytest.raises(InvalidConfig, match="duplicate seeds"):
+            grid_from_config(doc)
+        with pytest.raises(InvalidConfig, match="duplicate seeds"):
+            dataclasses.replace(tiny_grid(), seeds=(3, 3))  # as `--seeds 3,3` does
+
     def test_bad_window_rejected(self):
         for window in ({"t1": 0}, {"t1": 6, "t2": 8785}):
             doc = to_json(tiny_grid())
@@ -222,7 +230,7 @@ class TestRunGrid:
             assert (tmp_path / "reused" / rel).read_bytes() == path.read_bytes(), rel
 
     @pytest.mark.parametrize("case", ["other-data", "cut-grid-json", "no-grid-json",
-                                      "other-seeds"])
+                                      "other-seeds", "nested-grid-json"])
     def test_changed_data_retrains_every_row(self, tmp_path, case):
         # same length, so every window count and split size matches the first run
         seeds = (0, 1) if case == "other-seeds" else (0,)
@@ -230,6 +238,8 @@ class TestRunGrid:
         run_grid(tiny_grid(seeds=seeds), toy_series(160, seed=1), tmp_path / "reused")
         if case == "cut-grid-json":  # a grid.json cut short by an interrupted write names no data
             record.write_bytes(record.read_bytes()[:100])
+        elif case == "nested-grid-json":  # deeper than the recursion limit
+            record.write_text("[" * 100_000 + "]" * 100_000)
         elif case == "no-grid-json":  # as if the first run stopped before writing it
             record.unlink()
         elif case == "other-seeds":  # a run of one seed on the new data comes between
@@ -318,6 +328,12 @@ class TestRunGrid:
         run_grid(tiny_grid(), series, tmp_path / "par", workers=2)
         assert ((tmp_path / "serial" / "tables" / "table2.csv").read_bytes()
                 == (tmp_path / "par" / "tables" / "table2.csv").read_bytes())
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        with pytest.raises(InvalidConfig, match="workers"):
+            run_grid(tiny_grid(), toy_series(160, seed=1), tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
 
     def test_pool_no_larger_than_the_jobs(self, tmp_path, monkeypatch):
         started = []

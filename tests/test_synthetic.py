@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,13 @@ class TestGenerateSynthetic:
         lb, wb = generate_synthetic(0.05, 11, b)
         assert la.read_bytes() == lb.read_bytes()
         assert wa.read_bytes() == wb.read_bytes()
+
+    def test_golden_bytes(self, tmp_path):
+        load_path, weather_path = generate_synthetic(0.1, 3, tmp_path)
+        assert hashlib.sha256(load_path.read_bytes()).hexdigest() == (
+            "912e3877b9c5b05e8b519b3030c41ec3f2fd88864db5481f01036307d4cc8168")
+        assert hashlib.sha256(weather_path.read_bytes()).hexdigest() == (
+            "75ba052f35263b7b3943041cc1c91cb0a95ae5c11c91589477af4828fa092afa")
 
     def test_different_seeds_differ(self, tmp_path):
         la, _ = generate_synthetic(0.05, 1, tmp_path / "a")
