@@ -93,7 +93,10 @@ def read_artifact(path) -> tuple[dict, dict[str, np.ndarray]]:
         if ndim > 8:
             raise CorruptArtifact(f"implausible array rank {ndim}")
         shape = tuple(reader.u32() for _ in range(ndim))
-        # a Python int: numpy's int64 product of large dims wraps around
+        # numpy's int64 product of large dims wraps around, and numpy refuses to
+        # shape huge dims even beside a 0 dim: check them as Python ints first
+        if math.prod(d for d in shape if d) * 8 > len(body):
+            raise CorruptArtifact(f"array {name!r} of dims {shape} does not fit the file")
         values = np.frombuffer(reader.take(math.prod(shape) * 8), dtype="<f8").reshape(shape)
         arrays[name] = values.astype(np.float64)
     if reader.pos != len(body):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import reprlib
 import sys
 from pathlib import Path
 
@@ -19,7 +18,6 @@ import numpy as np
 from .codec import from_json, read_json, to_json, write_csv, write_json
 from .dataset import (
     DEFAULT_FRACTIONS,
-    SPLITS,
     WindowConfig,
     build_windows,
     check_fractions,
@@ -35,68 +33,64 @@ from .synthetic import generate_synthetic
 
 #: ModelSpec fields that the run config lists under "training"; the rest go under "model"
 _TRAINING_KEYS = ("epochs", "batch_size", "patience", "base_lr", "lr_decay", "seed")
-_SPEC_DEFAULTS = to_json(ModelSpec(kind="lstm"))
-
-_CONFIG_DEFAULTS = {
-    "data": {"aligned": None, "load": None, "weather": None},
-    "window": to_json(WindowConfig()),
-    "features": to_json(all_features()),
-    "model": {k: v for k, v in _SPEC_DEFAULTS.items() if k not in _TRAINING_KEYS},
-    "training": {k: _SPEC_DEFAULTS[k] for k in _TRAINING_KEYS},
-    "split": dict(zip(SPLITS, DEFAULT_FRACTIONS)),
-    "output": "out",
-}
 
 
-def _merge_section(name: str, defaults: dict, user) -> dict:
-    if not isinstance(user, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    unknown = set(user) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(user)
-    return merged
+def _spec_section(name: str, training: bool):
+    """The ModelSpec fields of one run-config section; ModelSpec(kind="lstm") gives defaults."""
+    lstm = ModelSpec(kind="lstm")
+    return dataclasses.make_dataclass(
+        name, [(f.name, f.type, dataclasses.field(default=getattr(lstm, f.name)))
+               for f in dataclasses.fields(ModelSpec) if (f.name in _TRAINING_KEYS) == training],
+        frozen=True, namespace={"__module__": __name__})
 
 
-def resolve_config(doc: dict) -> dict:
-    """Fill defaults and reject unknown keys at every level."""
-    if not isinstance(doc, dict):
-        raise ConfigError("run config must be a JSON object")
-    unknown = set(doc) - set(_CONFIG_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    resolved = {}
-    for section, defaults in _CONFIG_DEFAULTS.items():
-        if section == "output":
-            resolved[section] = doc.get(section, defaults)
-            continue
-        resolved[section] = _merge_section(section, defaults, doc.get(section, {}))
-    if not isinstance(resolved["output"], str):
-        raise ConfigError(f"output must be a path, got {reprlib.repr(resolved['output'])}")
-    for key, path in resolved["data"].items():
-        if not isinstance(path, (str, type(None))):
-            raise ConfigError(f"data.{key} must be a path or null, got {reprlib.repr(path)}")
-    return resolved
+ModelSection = _spec_section("ModelSection", training=False)
+TrainingSection = _spec_section("TrainingSection", training=True)
 
 
-def _build_run(resolved: dict):
-    """Validate a resolved config into (window, selector, spec, fractions)."""
+@dataclasses.dataclass(frozen=True)
+class DataPaths:
+    aligned: str | None = None
+    load: str | None = None
+    weather: str | None = None
+
+
+@dataclasses.dataclass(frozen=True)
+class Split:
+    train: float = DEFAULT_FRACTIONS[0]
+    val: float = DEFAULT_FRACTIONS[1]
+    test: float = DEFAULT_FRACTIONS[2]
+
+    def __post_init__(self):
+        check_fractions(dataclasses.astuple(self))
+
+
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """A run config; its JSON form is the config file and `<output>/config.json`."""
+
+    data: DataPaths = DataPaths()
+    window: WindowConfig = WindowConfig()
+    features: FeatureSelector = all_features()
+    model: ModelSection = ModelSection()
+    training: TrainingSection = TrainingSection()
+    split: Split = Split()
+    output: str = "out"
+
+
+def resolve_config(doc) -> RunConfig:
+    """Read a run config; malformed is ConfigError, except ModelSpec's own ranges."""
     try:
-        window = from_json(WindowConfig, resolved["window"])
-        selector = from_json(FeatureSelector, resolved["features"])
-        fractions = check_fractions([resolved["split"][s] for s in SPLITS])
-    except ValueError as exc:
+        return from_json(RunConfig, doc)
+    except ValueError as exc:  # from the codec and the records' own checks
         raise ConfigError(str(exc)) from None
-    spec = ModelSpec.from_dict({**resolved["model"], **resolved["training"]})
-    return window, selector, spec, fractions
 
 
-def _load_series(data: dict):
-    if data.get("aligned"):
-        return read_aligned_csv(data["aligned"])
-    if data.get("load") and data.get("weather"):
-        return load_and_align(data["load"], data["weather"])
+def _load_series(data: DataPaths):
+    if data.aligned:
+        return read_aligned_csv(data.aligned)
+    if data.load and data.weather:
+        return load_and_align(data.load, data.weather)
     raise ConfigError("data section needs 'aligned' or both 'load' and 'weather'")
 
 
@@ -128,22 +122,22 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    resolved = resolve_config(read_json(args.config))
+    run = resolve_config(read_json(args.config))
     if args.seed is not None:
-        resolved["training"]["seed"] = args.seed
+        run = dataclasses.replace(run, training=dataclasses.replace(run.training, seed=args.seed))
     if args.out is not None:
-        resolved["output"] = args.out
-    window, selector, spec, fractions = _build_run(resolved)
+        run = dataclasses.replace(run, output=args.out)
+    spec = ModelSpec(**vars(run.model), **vars(run.training))
 
-    series = _load_series(resolved["data"])
-    matrix = assemble(series, selector)
-    raw = build_windows(matrix, series.segments, series.stamps, window)
-    ds = chronological_split(raw, fractions)
-    model = train(ds, spec, selector)
+    series = _load_series(run.data)
+    matrix = assemble(series, run.features)
+    raw = build_windows(matrix, series.segments, series.stamps, run.window)
+    ds = chronological_split(raw, dataclasses.astuple(run.split))
+    model = train(ds, spec, run.features)
 
-    out_dir = Path(resolved["output"])
+    out_dir = Path(run.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "config.json", resolved)
+    write_json(out_dir / "config.json", to_json(run))
     model_path = out_dir / "model.lcst"
     save_model(model, model_path)
     write_csv(out_dir / "history.csv", ["epoch", "train_loss", "val_loss"], model.history)

@@ -3,7 +3,8 @@ the JSON and CSV files they go to and come from, and atomic file writes.
 
 `from_json` checks each value against its field's annotation instead of
 coercing it; an int may stand for a float, and a missing field takes its
-default. Non-string dict keys are written as their `repr` (``"1.0"``).
+default, also inside an object given for a field whose default is a record.
+Non-string dict keys are written as their `repr` (``"1.0"``).
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ import numpy as np
 
 
 @functools.cache
-def _fields(cls) -> dict[str, tuple[str, object, bool]]:
-    """Field name -> (annotation text, resolved type, required) of a record class."""
+def _fields(cls) -> dict[str, tuple[str, object, bool, dict | None]]:
+    """Field name -> (annotation text, resolved type, required, record default's JSON)."""
     hints = typing.get_type_hints(cls)
     return {f.name: (f.type, hints[f.name], f.default is dataclasses.MISSING
-                     and f.default_factory is dataclasses.MISSING)
+                     and f.default_factory is dataclasses.MISSING,
+                     to_json(f.default) if dataclasses.is_dataclass(f.default) else None)
             for f in dataclasses.fields(cls)}
 
 
@@ -52,12 +54,14 @@ def from_json(cls, doc):
     unknown = doc.keys() - fields.keys()
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    missing = [name for name, (_, _, required) in fields.items() if required and name not in doc]
+    missing = [name for name, (_, _, req, _) in fields.items() if req and name not in doc]
     if missing:
         raise ValueError(f"{cls.__name__} needs {missing}")
     kwargs = {}
     for name, value in doc.items():
-        text, tp, _ = fields[name]
+        text, tp, _, default = fields[name]
+        if default is not None and isinstance(value, dict):
+            value = {**default, **value}  # a partial object updates the default record
         try:
             kwargs[name] = _read(tp, value)
         except ValueError as exc:  # a nested record's message names its own field

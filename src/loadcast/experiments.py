@@ -57,10 +57,11 @@ class GridRow:
     model: ModelSpec
     features: FeatureSelector = FeatureSelector()
 
-    def __post_init__(self):  # the name becomes a directory under rows/
+    def __post_init__(self):  # the name becomes a directory under rows/ and a table field
         name = self.name
-        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
-            raise InvalidConfig(f"grid row name must be one path component, got {name!r}")
+        if not isinstance(name, str) or name in ("", ".", "..") or set(name) & set('/\\,"\r\n'):
+            raise InvalidConfig("grid row name must be one path component without a comma, quote "
+                                f"or line break, got {name!r}")
 
 
 @dataclass(frozen=True)

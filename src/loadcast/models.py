@@ -86,13 +86,6 @@ class ModelSpec:
         if any(width < 1 for width in self.fcnn_hidden):
             raise InvalidSpec(f"fcnn_hidden widths must be >= 1, got {self.fcnn_hidden}")
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelSpec":
-        try:
-            return from_json(cls, doc)
-        except ValueError as exc:
-            raise InvalidSpec(str(exc)) from None
-
 
 @dataclass
 class TrainedModel:

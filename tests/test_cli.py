@@ -1,13 +1,15 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
 
 from loadcast.cli import main, resolve_config
-from loadcast.codec import from_json
+from loadcast.codec import from_json, to_json
 from loadcast.dataset import DEFAULT_FRACTIONS, WindowConfig
 from loadcast.features import FeatureSelector, all_features
 from loadcast.ingest import format_hour, write_aligned_csv
@@ -141,11 +143,11 @@ class TestTrain:
         assert "trainnig" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,key,value,code", [
-        ("training", "epochs", "3", "InvalidSpec"),
-        ("training", "epochs", 3.5, "InvalidSpec"),
-        ("training", "seed", "x", "InvalidSpec"),
-        ("model", "lstm_hidden", "64", "InvalidSpec"),
-        ("model", "fcnn_hidden", 5, "InvalidSpec"),
+        ("training", "epochs", "3", "ConfigError"),
+        ("training", "epochs", 3.5, "ConfigError"),
+        ("training", "seed", "x", "ConfigError"),
+        ("model", "lstm_hidden", "64", "ConfigError"),
+        ("model", "fcnn_hidden", 5, "ConfigError"),
         ("features", "zones", 5, "ConfigError"),
         ("features", "include_load", "no", "ConfigError"),
         ("split", "train", "a", "ConfigError"),
@@ -180,15 +182,35 @@ class TestTrain:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(cfg_path)]) == 1
-        assert "error[ConfigError]: output must be a path" in capsys.readouterr().err
+        assert "error[ConfigError]: RunConfig.output must be str" in capsys.readouterr().err
 
     def test_default_config_matches_dataclass_defaults(self):
-        resolved = resolve_config({})
+        resolved = to_json(resolve_config({}))
         assert WindowConfig(**resolved["window"]) == WindowConfig()
-        spec = ModelSpec.from_dict({**resolved["model"], **resolved["training"]})
+        spec = from_json(ModelSpec, {**resolved["model"], **resolved["training"]})
         assert spec == ModelSpec(kind="lstm")
         assert tuple(resolved["split"][s] for s in ("train", "val", "test")) == DEFAULT_FRACTIONS
         assert from_json(FeatureSelector, resolved["features"]) == all_features()
+
+    def test_partial_features_merge_onto_all_features(self):
+        features = to_json(resolve_config({"features": {"zones": [2]}}))["features"]
+        assert from_json(FeatureSelector, features) == dataclasses.replace(
+            all_features(), zones=(2,))
+
+    def test_config_json_golden_bytes(self, aligned_csv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # relative paths, so config.json's bytes are stable
+        shutil.copy(aligned_csv, "aligned.csv")
+        Path("run.json").write_text(json.dumps({
+            "data": {"aligned": "aligned.csv"},
+            "features": {"weather_features": ["temp"], "zones": [0, 3]},
+            "model": {"kind": "persistence"},
+            "training": {"seed": 3},
+            "split": {"train": 0.5, "val": 0.3, "test": 0.2},
+            "output": "out",
+        }))
+        assert main(["train", "--config", "run.json"]) == 0
+        assert hashlib.sha256(Path("out/config.json").read_bytes()).hexdigest() == (
+            "22f22ad46c8d590bd650a946761970dfbf686328661cabc96b0374b2abcb0e10")
 
     def test_rerun_identical_artifact(self, aligned_csv, tmp_path):
         cfg_path = tmp_path / "run.json"

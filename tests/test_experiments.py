@@ -143,7 +143,8 @@ class TestGridConfig:
         with pytest.raises(InvalidConfig):
             tiny_grid(seeds=())
 
-    @pytest.mark.parametrize("name", [5, None, "", ".", "..", "/tmp/x", "a/b", "a\\b"])
+    @pytest.mark.parametrize("name", [5, None, "", ".", "..", "/tmp/x", "a/b", "a\\b",
+                                      "a,b", 'a"b', "a\nb"])
     def test_row_name_must_be_one_path_component(self, name):
         doc = to_json(tiny_grid())
         doc["rows"][1]["name"] = name

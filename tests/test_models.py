@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from loadcast.artifact import read_artifact, write_artifact
-from loadcast.codec import to_json
+from loadcast.codec import from_json, to_json
 from loadcast.dataset import (
     WindowConfig,
     WindowedDataset,
@@ -73,11 +73,11 @@ class TestModelSpec:
 
     def test_dict_round_trip(self):
         spec = ModelSpec(kind="lrcn", lstm_hidden=8, epochs=3)
-        assert ModelSpec.from_dict(to_json(spec)) == spec
+        assert from_json(ModelSpec, to_json(spec)) == spec
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(InvalidSpec):
-            ModelSpec.from_dict({"kind": "lstm", "layers": 2})
+        with pytest.raises(ValueError, match="unknown ModelSpec keys"):
+            from_json(ModelSpec, {"kind": "lstm", "layers": 2})
 
 
 class TestPersistence:
@@ -489,7 +489,11 @@ class TestSaveLoad:
         (b"svr_\xff", None),  # not UTF-8
         (None, (2**32 - 1, 2**32 - 1, 2**32 - 1)),  # the int64 product wraps to a small size
         (None, (2**32 - 1,) * 2 + (2,)),
-    ], ids=["name-not-utf8", "dims-wrap", "dims-wrap-to-negative"])
+        (None, (0, 2**30, 2**30)),  # 0 bytes, but too big for numpy to shape
+        (None, (2**30, 0, 2**30)),
+        (None, (0, 2**32 - 1, 2**32 - 1)),
+    ], ids=["name-not-utf8", "dims-wrap", "dims-wrap-to-negative", "dims-zero-first",
+            "dims-zero-middle", "dims-zero-max"])
     def test_array_section_that_does_not_fit_rejected(self, tmp_path, name, dims):
         header, sections = _artifact_parts("svr")
         path = tmp_path / "model.lcst"
