@@ -292,6 +292,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error[FileNotFound]: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a directory where a file is read, an --out that exists, ...
+        print(f"error[OSError]: {exc}", file=sys.stderr)
+        return 1
     except json.JSONDecodeError as exc:
         print(f"error[BadJson]: {exc}", file=sys.stderr)
         return 1

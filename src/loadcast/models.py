@@ -164,8 +164,8 @@ def _dataset_loss(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int) -
 
 
 def _train_network(dataset: WindowedDataset, spec: ModelSpec, norm: Normalizer):
-    if dataset.n_train == 0 or dataset.n_val == 0:
-        raise EmptySplit("network training needs non-empty train and val splits")
+    if dataset.n_val == 0:  # an empty train split fails earlier, in Normalizer.fit
+        raise EmptySplit("network training needs a non-empty val split")
     xtr, ytr_raw = dataset.split_arrays("train")
     xva, yva_raw = dataset.split_arrays("val")
     xtr, ytr, xva, yva = (a.astype(np.float32) for a in (
@@ -209,8 +209,6 @@ def _train_network(dataset: WindowedDataset, spec: ModelSpec, norm: Normalizer):
 
 
 def _train_svr(dataset: WindowedDataset, spec: ModelSpec, norm: Normalizer):
-    if dataset.n_train == 0:
-        raise EmptySplit("svr training needs a non-empty train split")
     x_raw, y_raw = dataset.split_arrays("train")
     x = norm.transform(x_raw).reshape(len(x_raw), -1)
     y = norm.transform_target(y_raw)

@@ -174,8 +174,10 @@ class LSTM(Layer):
     (i, f, o, g) order so the three sigmoid gates form one contiguous block.
     Forget-gate bias starts at 1. The input-side product x W runs as a single
     batched matmul over all timesteps; only the recurrence is sequential.
-    Backward runs full backpropagation through time. Returns the whole h
-    sequence.
+    Each state is stored once: row t+1 of `hs`/`cs` (steps + 1, batch, H)
+    holds h_t/c_t, row 0 the zero initial state, and backward reads the same
+    rows. Backward runs full backpropagation through time. Returns the whole
+    h sequence.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None):
@@ -196,41 +198,35 @@ class LSTM(Layer):
         w, u, b = self._params_as(dtype, "W", "U", "b")
         xw = x.reshape(batch * steps, self.in_dim) @ w
         xw = xw.reshape(batch, steps, 4 * hid)
-        h = np.zeros((batch, hid), dtype)
-        c = np.zeros((batch, hid), dtype)
         # time-major caches keep the per-step slices contiguous
-        out = np.empty((steps, batch, hid), dtype)
+        hs = np.zeros((steps + 1, batch, hid), dtype)
+        cs = np.zeros((steps + 1, batch, hid), dtype)
         gates = np.empty((steps, batch, 4 * hid), dtype)  # i, f, o sigmoids; g tanh
         cells = np.empty((steps, batch, hid), dtype)      # tanh(c_t)
-        h_prev = np.empty((steps, batch, hid), dtype)
-        c_prev = np.empty((steps, batch, hid), dtype)
         for t in range(steps):
-            h_prev[t] = h
-            c_prev[t] = c
             a = gates[t]
-            np.dot(h, u, out=a)
+            np.dot(hs[t], u, out=a)
             a += xw[:, t]
             a += b
-            sig = a[:, :3 * hid]
+            sig = a[:, :3 * hid]  # sigmoid(z) = (tanh(z/2) + 1) / 2
             sig *= 0.5
-            np.tanh(sig, out=sig)
+            np.tanh(a, out=a)
             sig += 1.0
             sig *= 0.5
-            np.tanh(a[:, 3 * hid:], out=a[:, 3 * hid:])
             i = a[:, :hid]
             f = a[:, hid:2 * hid]
             o = a[:, 2 * hid:3 * hid]
             g = a[:, 3 * hid:]
-            c = f * c
-            c += i * g
-            tc = np.tanh(c, out=cells[t])
-            h = np.multiply(o, tc, out=out[t])
-        self._cache = (x, gates, cells, h_prev, c_prev)
-        result = np.ascontiguousarray(out.transpose(1, 0, 2))
+            np.multiply(f, cs[t], out=cs[t + 1])
+            cs[t + 1] += i * g
+            tc = np.tanh(cs[t + 1], out=cells[t])
+            np.multiply(o, tc, out=hs[t + 1])
+        self._cache = (x, gates, cells, hs, cs)
+        result = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
         return self._finite(result, "forward")
 
     def backward(self, grad_out):
-        x, gates, cells, h_prev, c_prev = self._cache
+        x, gates, cells, hs, cs = self._cache
         batch, steps, _ = x.shape
         hid = self.hidden
         if grad_out.shape != (batch, steps, hid):
@@ -255,7 +251,7 @@ class LSTM(Layer):
             dc += dc_next
             da = da_all[t]
             np.multiply(dc, g, out=da[:, :hid])
-            np.multiply(dc, c_prev[t], out=da[:, hid:2 * hid])
+            np.multiply(dc, cs[t], out=da[:, hid:2 * hid])
             np.multiply(dh, tc, out=da[:, 2 * hid:3 * hid])
             sig = a[:, :3 * hid]
             da[:, :3 * hid] *= sig * (1.0 - sig)
@@ -265,7 +261,7 @@ class LSTM(Layer):
             dh_next = da @ u.T
         flat_da = da_all.transpose(1, 0, 2).reshape(batch * steps, 4 * hid)
         self.grads["W"] += x.reshape(batch * steps, self.in_dim).T @ flat_da
-        self.grads["U"] += h_prev.transpose(1, 0, 2).reshape(batch * steps, hid).T @ flat_da
+        self.grads["U"] += hs[:-1].transpose(1, 0, 2).reshape(batch * steps, hid).T @ flat_da
         self.grads["b"] += flat_da.sum(axis=0)
         dx = (flat_da @ w.T).reshape(batch, steps, self.in_dim)
         return self._finite(dx, "backward")
@@ -401,8 +397,9 @@ class Adam:
             g = grads[key]
             if g.shape != p.shape:
                 raise ShapeMismatch(f"{key}: grad shape {g.shape} != param {p.shape}")
-            m = self._m.setdefault(key, np.zeros_like(p))
-            v = self._v.setdefault(key, np.zeros_like(p))
+            if key not in self._m:
+                self._m[key], self._v[key] = np.zeros_like(p), np.zeros_like(p)
+            m, v = self._m[key], self._v[key]
             m *= b1
             m += (1.0 - b1) * g
             v *= b2

@@ -90,8 +90,8 @@ def generate_synthetic(years: float, seed: int, out_dir) -> tuple[Path, Path]:
     One year produces exactly 8760 load rows and 8 * 8760 weather rows.
     Identical seeds produce byte-identical files.
     """
-    if years <= 0:
-        raise InvalidConfig(f"years must be positive, got {years}")
+    if not 0 < years < math.inf:  # also false for NaN
+        raise InvalidConfig(f"years must be positive and finite, got {years}")
     n_hours = round(years * HOURS_PER_YEAR)
     stamps, loads, temp, wind_u, wind_v, lwrad, swrad = simulate(n_hours, seed)
 

@@ -54,6 +54,10 @@ class TestSynth:
         assert sum(1 for _ in open(tmp_path / "load.csv")) == n + 1
         assert sum(1 for _ in open(tmp_path / "weather.csv")) == 8 * n + 1
 
+    def test_infinite_years_is_invalid_config(self, tmp_path, capsys):
+        assert main(["synth", "--years", "inf", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error[InvalidConfig]: ")
+
 
 class TestIngest:
     def test_summary_printed(self, synth_dir, tmp_path, capsys):
@@ -403,6 +407,18 @@ def test_config_nested_too_deep_is_bad_json(tmp_path, capsys, command):
                      "--out", str(tmp_path / "out")]}[command]
     assert main(argv) == 1
     assert "error[BadJson]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest", "train", "evaluate", "grid"])
+def test_directory_as_input_file_is_os_error(tmp_path, capsys, command):
+    d = str(tmp_path)
+    argv = {"ingest": ["ingest", d, d, "--out", str(tmp_path / "out")],
+            "train": ["train", "--config", d],
+            "evaluate": ["evaluate", d, d, "--out", str(tmp_path / "out")],
+            "grid": ["grid", d, d, "--out", str(tmp_path / "out")]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[OSError]: ") and "Traceback" not in err
 
 
 class TestAtomicWrites:

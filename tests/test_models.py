@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -20,6 +21,8 @@ from loadcast.dataset import (
 )
 from loadcast.errors import (
     CorruptArtifact,
+    EmptySplit,
+    EmptyTrainSplit,
     EmptyWindow,
     InvalidSpec,
     LoadcastError,
@@ -207,6 +210,20 @@ class TestTraining:
         val = _dataset_loss(_network_for(model), norm.transform(xva),
                             norm.transform_target(yva), spec.batch_size)
         assert val == best_recorded
+
+    @pytest.mark.parametrize("kind,empty,error", [
+        ("svr", "n_train", EmptyTrainSplit),
+        ("fcnn", "n_train", EmptyTrainSplit),
+        ("fcnn", "n_val", EmptySplit),
+        ("lstm", "n_val", EmptySplit),
+    ])
+    def test_empty_split_rejected(self, kind, empty, error):
+        _, ds = small_dataset(100)
+        ds = dataclasses.replace(ds, **{empty: 0})
+        spec = ModelSpec(kind=kind, fcnn_hidden=(4,), lstm_hidden=4, lstm_layers=1,
+                         dense_size=4, epochs=1)
+        with pytest.raises(error):
+            train(ds, spec, FeatureSelector())
 
 
 class TestGoldenTraining:

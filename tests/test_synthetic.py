@@ -41,8 +41,9 @@ class TestGenerateSynthetic:
         assert r > 0.5
 
     def test_invalid_years(self, tmp_path):
-        with pytest.raises(InvalidConfig):
-            generate_synthetic(0, 1, tmp_path)
+        for years in (0, -1, float("nan"), float("inf")):
+            with pytest.raises(InvalidConfig):
+                generate_synthetic(years, 1, tmp_path)
 
     def test_pipeline_alignment_full_intersection(self, tmp_path):
         load_path, weather_path = generate_synthetic(0.1, 5, tmp_path)
