@@ -83,6 +83,8 @@ class ExperimentGrid:
             raise InvalidConfig(f"duplicate grid row names in {self.name!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise InvalidConfig(f"duplicate seeds in grid {self.name!r}")
+        if any(seed < 0 for seed in self.seeds):
+            raise InvalidConfig(f"seeds must be >= 0 in grid {self.name!r}, got {self.seeds}")
         if self.style not in TABLE_STYLES:
             raise InvalidConfig(f"style must be one of {TABLE_STYLES}")
         if not self.rows or not self.seeds:
@@ -217,23 +219,35 @@ class GridReport:
         }
 
 
+def _job_dir(out_dir: Path, row: GridRow, seed: int) -> Path:
+    return out_dir / "rows" / row.name / f"seed{seed}"
+
+
+def _reused(job_dir: Path) -> RowSeedResult | None:
+    """A vouched job's result from its artifacts, or None when it must retrain."""
+    try:
+        load_model(job_dir / "model.lcst")  # checksum + structure check
+        report = EvaluationReport.load_json(job_dir / "report.json")
+    except (OSError, LoadcastError, ValueError):  # missing or invalid: retrain
+        return None
+    except Exception as exc:  # recorded as a failed row, as a training job's would be
+        return RowSeedResult(error=f"{type(exc).__name__}: {exc}")
+    return RowSeedResult(report.mape_pct, report.r2, dict(report.tolerance))
+
+
 def _run_one(grid: ExperimentGrid, row: GridRow, seed: int, series: AlignedSeries,
              out_dir: Path) -> RowSeedResult:
-    row_dir = out_dir / "rows" / row.name / f"seed{seed}"
-    model_path, report_path = row_dir / "model.lcst", row_dir / "report.json"
+    """Train, evaluate and save one job; a failure becomes its result."""
+    job_dir = _job_dir(out_dir, row, seed)
     try:
-        try:  # run_grid has removed every artifact its record does not vouch for
-            load_model(model_path)  # checksum + structure check
-            report = EvaluationReport.load_json(report_path)
-        except (OSError, LoadcastError, ValueError):  # missing or invalid: retrain
-            matrix = assemble(series, row.features)
-            raw = build_windows(matrix, series.segments, series.stamps, grid.window)
-            ds = chronological_split(raw, grid.split)
-            model = train(ds, dataclasses.replace(row.model, seed=seed), row.features)
-            report = evaluate(model, ds, "test")
-            row_dir.mkdir(parents=True, exist_ok=True)
-            save_model(model, model_path)
-            report.save_json(report_path)
+        matrix = assemble(series, row.features)
+        raw = build_windows(matrix, series.segments, series.stamps, grid.window)
+        ds = chronological_split(raw, grid.split)
+        model = train(ds, dataclasses.replace(row.model, seed=seed), row.features)
+        report = evaluate(model, ds, "test")
+        job_dir.mkdir(parents=True, exist_ok=True)
+        save_model(model, job_dir / "model.lcst")
+        report.save_json(job_dir / "report.json")
         return RowSeedResult(report.mape_pct, report.r2, dict(report.tolerance))
     except Exception as exc:  # record per-row failures, keep the run alive
         return RowSeedResult(error=f"{type(exc).__name__}: {exc}")
@@ -258,7 +272,8 @@ def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
 
     `out_dir/grid.json` is written before the first job. A rerun reuses the
     artifacts that load of each row that the earlier record lists unchanged,
-    on the same data, window and split; every other job retrains.
+    on the same data, window and split; every other job retrains, and only
+    those jobs reach the `workers` processes.
     """
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
@@ -290,13 +305,23 @@ def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
                     path.unlink()
     write_json(record, report.to_json_dict())
 
-    jobs = [(row, seed) for row in grid.rows for seed in grid.seeds]
-    workers = min(workers, len(jobs))  # a pool starts every worker up front
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        results = (pool.map if pool else map)(
-            _run_one, repeat(grid), *zip(*jobs), repeat(series), repeat(out_dir))
-        for (row, seed), result in zip(jobs, results):
+    # Reuse is decided here, before any worker starts, so only the jobs that
+    # train reach the pool. Every key is set in grid order, reused or not,
+    # since `loadcast grid` lists failures in the order of `results`.
+    jobs = []
+    for row in grid.rows:
+        for seed in grid.seeds:
+            result = _reused(_job_dir(out_dir, row, seed)) if row.name in vouched else None
             report.results[(row.name, seed)] = result
+            if result is None:
+                jobs.append((row, seed))
+    workers = min(workers, len(jobs))  # a pool starts every worker up front
+    if jobs:
+        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            results = (pool.map if pool else map)(
+                _run_one, repeat(grid), *zip(*jobs), repeat(series), repeat(out_dir))
+            for (row, seed), result in zip(jobs, results):
+                report.results[(row.name, seed)] = result
 
     write_json(record, report.to_json_dict())
     try:

@@ -79,6 +79,8 @@ class ModelSpec:
             raise InvalidSpec("epochs and batch_size must be >= 1")
         if self.patience < 0:
             raise InvalidSpec("patience must be >= 0")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         for name in ("lstm_hidden", "lstm_layers", "conv_filters", "conv_kernel",
                      "conv_layers", "dense_size"):
             if getattr(self, name) < 1:

@@ -92,6 +92,8 @@ def generate_synthetic(years: float, seed: int, out_dir) -> tuple[Path, Path]:
     """
     if not 0 < years < math.inf:  # also false for NaN
         raise InvalidConfig(f"years must be positive and finite, got {years}")
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
     n_hours = round(years * HOURS_PER_YEAR)
     stamps, loads, temp, wind_u, wind_v, lwrad, swrad = simulate(n_hours, seed)
 

@@ -59,6 +59,20 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error[InvalidConfig]: ")
 
 
+@pytest.mark.parametrize("command,code", [("synth", "InvalidConfig"), ("train", "InvalidSpec"),
+                                          ("grid", "InvalidConfig")])
+def test_negative_seed_is_stable_error(tmp_path, capsys, command, code):
+    cfg = tmp_path / "run.json"  # names data that does not exist: the seed fails first
+    cfg.write_text(json.dumps(train_config(tmp_path / "missing.csv", tmp_path / "out")))
+    argv = {"synth": ["synth", "--years", "0.01", "--seed", "-1", "--out", str(tmp_path)],
+            "train": ["train", "--config", str(cfg), "--seed", "-1"],
+            "grid": ["grid", "table1", str(tmp_path / "missing.csv"), "--seeds", "0,-1",
+                     "--out", str(tmp_path / "out")]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error[{code}]: seed")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "load.csv").exists()
+
+
 class TestIngest:
     def test_summary_printed(self, synth_dir, tmp_path, capsys):
         code = main(["ingest", str(synth_dir / "load.csv"),

@@ -21,9 +21,39 @@ from loadcast.experiments import (
     run_grid,
 )
 from loadcast.features import FeatureSelector, all_features
-from loadcast.models import ModelSpec
+from loadcast.models import ModelSpec, train
 
 from _util import mutated, toy_series
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The sizes of the pools run_grid starts; their jobs run in this process."""
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    return started
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("train must not run on resume")
+
+
+def _files(root):
+    """relative path -> bytes for every file under root."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def tiny_grid(seeds=(0, 1), name="tiny"):
@@ -114,6 +144,14 @@ class TestGridConfig:
         with pytest.raises(InvalidConfig):
             ExperimentGrid("dup", rows)
 
+    def test_negative_seed_rejected(self):
+        doc = to_json(tiny_grid())
+        doc["seeds"] = [0, -1]
+        with pytest.raises(InvalidConfig, match="seeds must be >= 0"):
+            grid_from_config(doc)
+        with pytest.raises(InvalidConfig, match="seeds must be >= 0"):
+            dataclasses.replace(tiny_grid(), seeds=(-1,))  # as `--seeds -1` does
+
     def test_duplicate_seeds_rejected(self):
         doc = to_json(tiny_grid())
         doc["seeds"] = [1, 1, 2]
@@ -185,12 +223,8 @@ class TestRunGrid:
     def test_resume_skips_valid_artifacts(self, tmp_path, monkeypatch):
         series = toy_series(160, seed=1)
         first = run_grid(tiny_grid(), series, tmp_path)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("train must not run on resume")
-
-        monkeypatch.setattr(experiments, "train", boom)
-        monkeypatch.setattr(experiments, "assemble", boom)
+        monkeypatch.setattr(experiments, "train", _no_training)
+        monkeypatch.setattr(experiments, "assemble", _no_training)
         second = run_grid(tiny_grid(), series, tmp_path)
         for key, result in second.results.items():
             assert result.error is None
@@ -327,8 +361,11 @@ class TestRunGrid:
         series = toy_series(160, seed=1)
         run_grid(tiny_grid(), series, tmp_path / "serial", workers=1)
         run_grid(tiny_grid(), series, tmp_path / "par", workers=2)
-        assert ((tmp_path / "serial" / "tables" / "table2.csv").read_bytes()
-                == (tmp_path / "par" / "tables" / "table2.csv").read_bytes())
+        serial = _files(tmp_path / "serial")
+        assert len(serial) == 4 * 2 + 3  # every model.lcst and report.json, grid.json, tables
+        assert _files(tmp_path / "par") == serial
+        run_grid(tiny_grid(), series, tmp_path / "par", workers=2)  # a resumed rerun
+        assert _files(tmp_path / "par") == serial
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, tmp_path, workers):
@@ -336,25 +373,61 @@ class TestRunGrid:
             run_grid(tiny_grid(), toy_series(160, seed=1), tmp_path / "out", workers=workers)
         assert not (tmp_path / "out").exists()
 
-    def test_pool_no_larger_than_the_jobs(self, tmp_path, monkeypatch):
-        started = []
-
-        class FakePool:  # records the pool size and runs the jobs in this process
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    def test_pool_no_larger_than_the_jobs(self, tmp_path, pool_starts):
         report = run_grid(tiny_grid(), toy_series(160, seed=1), tmp_path, workers=5000)
-        assert started == [4]  # two rows, two seeds
+        assert pool_starts == [4]  # two rows, two seeds
         assert all(result.error is None for result in report.results.values())
+
+    def test_fully_resumed_grid_starts_no_pool(self, tmp_path, monkeypatch, pool_starts):
+        series = toy_series(160, seed=1)
+        first = run_grid(tiny_grid(), series, tmp_path, workers=2)
+        pool_starts.clear()
+        monkeypatch.setattr(experiments, "train", _no_training)
+        second = run_grid(tiny_grid(), series, tmp_path, workers=2)
+        assert pool_starts == []
+        assert second.results == first.results
+        assert list(second.results) == [(row.name, seed) for row in tiny_grid().rows
+                                        for seed in (0, 1)]
+
+    def test_one_job_left_trains_in_process(self, tmp_path, monkeypatch, pool_starts):
+        series = toy_series(160, seed=1)
+        run_grid(tiny_grid(), series, tmp_path / "fresh", workers=2)
+        run_grid(tiny_grid(), series, tmp_path / "reused", workers=2)
+        (tmp_path / "reused" / "rows" / "persistence" / "seed1" / "model.lcst").unlink()
+        pool_starts.clear()
+        trained = []
+
+        def counted_train(*args, **kwargs):
+            trained.append(args[1].kind)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train", counted_train)
+        report = run_grid(tiny_grid(), series, tmp_path / "reused", workers=2)
+        assert pool_starts == [] and trained == ["persistence"]
+        assert list(report.results) == [(row.name, seed) for row in tiny_grid().rows
+                                        for seed in (0, 1)]
+        assert _files(tmp_path / "reused") == _files(tmp_path / "fresh")
+
+    def test_unexpected_load_error_is_a_failed_row(self, tmp_path, monkeypatch, pool_starts):
+        series = toy_series(160, seed=1)
+        run_grid(tiny_grid(), series, tmp_path, workers=2)
+        pool_starts.clear()
+        real_load = experiments.load_model
+
+        def load_model(path):
+            if path.parts[-3:-1] == ("svr_ridge", "seed1"):
+                raise KeyError("boom")
+            return real_load(path)
+
+        monkeypatch.setattr(experiments, "load_model", load_model)
+        monkeypatch.setattr(experiments, "train", _no_training)
+        report = run_grid(tiny_grid(), series, tmp_path, workers=2)
+        assert pool_starts == []
+        assert report.results[("svr_ridge", 1)].error == "KeyError: 'boom'"
+        assert [key for key, r in report.results.items() if r.error is not None] == [
+            ("svr_ridge", 1)]
+        doc = json.loads((tmp_path / "grid.json").read_text())
+        assert doc["rows"]["svr_ridge"]["aggregate"]["seeds_ok"] == 1
 
 
 class TestRenderTable:

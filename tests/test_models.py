@@ -74,6 +74,10 @@ class TestModelSpec:
         with pytest.raises(InvalidSpec):
             ModelSpec(kind="lstm", dropout=1.0)
 
+    def test_negative_seed(self):
+        with pytest.raises(InvalidSpec, match="seed"):
+            ModelSpec(kind="fcnn", seed=-1)
+
     def test_dict_round_trip(self):
         spec = ModelSpec(kind="lrcn", lstm_hidden=8, epochs=3)
         assert from_json(ModelSpec, to_json(spec)) == spec

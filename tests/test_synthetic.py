@@ -45,6 +45,11 @@ class TestGenerateSynthetic:
             with pytest.raises(InvalidConfig):
                 generate_synthetic(years, 1, tmp_path)
 
+    def test_negative_seed(self, tmp_path):
+        with pytest.raises(InvalidConfig, match="seed"):
+            generate_synthetic(0.01, -1, tmp_path)
+        assert not (tmp_path / "load.csv").exists()
+
     def test_pipeline_alignment_full_intersection(self, tmp_path):
         load_path, weather_path = generate_synthetic(0.1, 5, tmp_path)
         series = load_and_align(load_path, weather_path)
