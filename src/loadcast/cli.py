@@ -268,14 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("aligned_csv", help="aligned data for every grid row")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--seeds", default=None, help="comma-separated seed list override")
-    p.add_argument("--workers", type=int, default=1, help="parallel grid rows")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes for the (row, seed) jobs that train")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("ablate", help="run the leave-one-feature-out ablation grid")
     p.add_argument("aligned_csv", help="aligned data for every ablation row")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--seeds", default=None, help="comma-separated seed list override")
-    p.add_argument("--workers", type=int, default=1, help="parallel grid rows")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes for the (row, seed) jobs that train")
     p.set_defaults(func=cmd_ablate)
 
     return parser

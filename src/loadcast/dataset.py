@@ -18,6 +18,8 @@ SPLITS = ("train", "val", "test")
 #: the longest look-ahead: one leap year of hours. A forecast allocates t2
 #: values a row, so this also bounds what a t2 read from a file can cost.
 MAX_T2 = 8784
+#: the fewest windows that a chronological train/val/test split accepts
+MIN_WINDOWS = 3
 
 
 @dataclass(frozen=True)
@@ -81,45 +83,34 @@ class WindowedDataset:
         return self.origins[sl]
 
 
+def window_starts(segments, span: int) -> np.ndarray:
+    """The first row of every window of `span` rows that lies inside one
+    segment, ascending: a segment (start, length) gives the starts
+    start ... start + length - span, and none when it is shorter than `span`."""
+    segments = np.asarray(segments, dtype=np.intp).reshape(-1, 2)
+    counts = np.maximum(segments[:, 1] - span + 1, 0)
+    first = np.cumsum(counts) - counts  # each segment's first window's index
+    return np.repeat(segments[:, 0] - first, counts) + np.arange(counts.sum())
+
+
 def build_windows(matrix: FeatureMatrix, segments, stamps, cfg: WindowConfig) -> WindowedDataset:
     """Cut overlapping (t1+t2)-hour windows that lie inside one segment each.
 
-    A segment of length L yields max(0, L - (t1+t2) + 1) samples; windows never
-    straddle a gap. Targets are the raw load channel of the last t2 hours.
-    Segments in ascending order give windows in chronological order.
+    Windows start at the rows `window_starts` gives, so they never straddle a
+    gap. Targets are the raw load channel of the last t2 hours. Segments in
+    ascending order give windows in chronological order.
     """
     if matrix.load_channel is None:
         raise MissingLoadChannel("selector excluded load; targets are undefined")
-    span = cfg.span
-    inputs: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    origins: list[np.ndarray] = []
-    values = matrix.values
-    load = values[:, matrix.load_channel]
-    stamps = np.asarray(stamps, dtype=HOUR_DTYPE)
-    for start, length in segments:
-        count = length - span + 1
-        if count <= 0:
-            continue
-        block = values[start:start + length]
-        windows = np.lib.stride_tricks.sliding_window_view(block, span, axis=0)
-        # sliding_window_view puts the window axis last: (count, channels, span)
-        windows = windows.transpose(0, 2, 1)
-        inputs.append(windows[:, :cfg.t1, :])
-        tgt = np.lib.stride_tricks.sliding_window_view(load[start:start + length], span)
-        targets.append(tgt[:, cfg.t1:])
-        origins.append(stamps[start:start + count])
-    if inputs:
-        inp = np.ascontiguousarray(np.concatenate(inputs, axis=0))
-        tgt = np.ascontiguousarray(np.concatenate(targets, axis=0))
-        org = np.concatenate(origins)
-    else:
-        inp = np.empty((0, cfg.t1, values.shape[1]))
-        tgt = np.empty((0, cfg.t2))
-        org = np.empty(0, dtype=HOUR_DTYPE)
-    for array in (inp, tgt, org):
+    starts = window_starts(segments, cfg.span)
+    rows = starts[:, None] + np.arange(cfg.span)
+    inputs = matrix.values[rows[:, :cfg.t1]]
+    targets = matrix.values[rows[:, cfg.t1:], matrix.load_channel]
+    origins = np.asarray(stamps, dtype=HOUR_DTYPE)[starts]
+    for array in (inputs, targets, origins):
         array.setflags(write=False)
-    return WindowedDataset(inp, tgt, org, matrix.channel_names, matrix.load_channel, cfg)
+    return WindowedDataset(inputs, targets, origins, matrix.channel_names,
+                           matrix.load_channel, cfg)
 
 
 def check_fractions(fractions) -> tuple[float, float, float]:
@@ -144,8 +135,8 @@ def chronological_split(raw: WindowedDataset,
     """
     fractions = check_fractions(fractions)
     n = len(raw)
-    if n < 3:
-        raise TooFewSamples(f"need at least 3 windows, got {n}")
+    if n < MIN_WINDOWS:
+        raise TooFewSamples(f"need at least {MIN_WINDOWS} windows, got {n}")
     return dataclasses.replace(raw, n_train=math.floor(fractions[0] * n),
                                n_val=math.floor(fractions[1] * n))
 

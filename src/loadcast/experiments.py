@@ -30,10 +30,12 @@ from . import __version__
 from .codec import from_json, read_json, to_json, write_json, write_text
 from .dataset import (
     DEFAULT_FRACTIONS,
+    MIN_WINDOWS,
     WindowConfig,
     build_windows,
     check_fractions,
     chronological_split,
+    window_starts,
 )
 from .errors import DatasetTooSmall, InvalidConfig, LoadcastError, MissingRows
 from .evaluation import TOLERANCE_THRESHOLDS, EvaluationReport, evaluate
@@ -59,9 +61,9 @@ class GridRow:
 
     def __post_init__(self):  # the name becomes a directory under rows/ and a table field
         name = self.name
-        if not isinstance(name, str) or name in ("", ".", "..") or set(name) & set('/\\,"\r\n'):
-            raise InvalidConfig("grid row name must be one path component without a comma, quote "
-                                f"or line break, got {name!r}")
+        if not isinstance(name, str) or name in ("", ".", "..") or set(name) & set('/\\,"\r\n\0'):
+            raise InvalidConfig("grid row name must be one path component without a comma, quote, "
+                                f"line break or NUL, got {name!r}")
 
 
 @dataclass(frozen=True)
@@ -278,10 +280,10 @@ def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
     span = grid.window.span
-    total = sum(max(0, length - span + 1) for _, length in series.segments)
-    if total < 3:
+    total = len(window_starts(series.segments, span))
+    if total < MIN_WINDOWS:
         raise DatasetTooSmall(
-            f"series yields {total} windows of {span} hours; need at least 3")
+            f"series yields {total} windows of {span} hours; need at least {MIN_WINDOWS}")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

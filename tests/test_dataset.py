@@ -92,6 +92,36 @@ class TestBuildWindows:
             for origin in raw.origins:
                 assert all(origin + k in stamp_set for k in range(t1 + t2))
 
+    def test_window_values_across_random_gaps(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n = 80
+            missing = tuple(np.flatnonzero(rng.random(n) < 0.15))
+            t1 = int(rng.integers(1, 9))
+            t2 = int(rng.integers(1, 7))
+            series = toy_series(n, seed=1, missing=missing)
+            matrix = assemble(series, FeatureSelector(weather_features=("temp", "wind")))
+            raw = build_windows(matrix, series.segments, series.stamps, WindowConfig(t1, t2))
+            load = matrix.values[:, matrix.load_channel]
+            for i, origin in enumerate(raw.origins):
+                r = int(np.searchsorted(series.stamps, origin))
+                assert series.stamps[r] == origin
+                assert np.array_equal(raw.inputs[i], matrix.values[r:r + t1])
+                assert np.array_equal(raw.targets[i], load[r + t1:r + t1 + t2])
+            for array in (raw.inputs, raw.targets, raw.origins):
+                assert not array.flags.writeable
+                assert array.flags.c_contiguous
+
+    def test_no_windows(self):
+        _, raw = windows_for(9, t1=6, t2=4)
+        channels = len(raw.channel_names)
+        assert (raw.inputs.shape, raw.targets.shape, raw.origins.shape) == (
+            (0, 6, channels), (0, 4), (0,))
+        assert (raw.inputs.dtype, raw.targets.dtype, raw.origins.dtype) == (
+            np.float64, np.float64, np.dtype("datetime64[h]"))
+        for array in (raw.inputs, raw.targets, raw.origins):
+            assert not array.flags.writeable
+
     def test_missing_load_channel(self):
         series = toy_series(20)
         matrix = assemble(series, FeatureSelector(include_load=False,

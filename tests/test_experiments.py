@@ -182,7 +182,7 @@ class TestGridConfig:
             tiny_grid(seeds=())
 
     @pytest.mark.parametrize("name", [5, None, "", ".", "..", "/tmp/x", "a/b", "a\\b",
-                                      "a,b", 'a"b', "a\nb"])
+                                      "a,b", 'a"b', "a\nb", "a\x00b"])
     def test_row_name_must_be_one_path_component(self, name):
         doc = to_json(tiny_grid())
         doc["rows"][1]["name"] = name
@@ -345,8 +345,29 @@ class TestRunGrid:
         assert np.array_equal(origins[0], origins[1])
 
     def test_dataset_too_small(self, tmp_path):
-        with pytest.raises(DatasetTooSmall):
-            run_grid(tiny_grid(), toy_series(11), tmp_path)
+        with pytest.raises(DatasetTooSmall, match="yields 2 windows of 10 hours"):
+            run_grid(tiny_grid(), toy_series(11), tmp_path / "two")
+        run_grid(tiny_grid(), toy_series(12), tmp_path / "three")  # 3 windows are enough
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_interrupted_grid_resumes_to_same_bytes(self, tmp_path, monkeypatch, k):
+        series = toy_series(160)
+        run_grid(tiny_grid(), series, tmp_path / "whole")
+        calls = []
+        save = experiments.save_model
+
+        def save_until_stopped(*args):  # the k-th of the 4 jobs is stopped before its save
+            calls.append(args)
+            if len(calls) == k:
+                raise KeyboardInterrupt
+            return save(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "save_model", save_until_stopped)
+            with pytest.raises(KeyboardInterrupt):
+                run_grid(tiny_grid(), series, tmp_path / "cut")
+        run_grid(tiny_grid(), series, tmp_path / "cut")
+        assert _files(tmp_path / "cut") == _files(tmp_path / "whole")
 
     def test_all_rows_failing_still_writes_grid_json(self, tmp_path):
         rows = (GridRow("bad",
