@@ -23,7 +23,7 @@ from .dataset import (
     check_fractions,
     chronological_split,
 )
-from .errors import ConfigError, LoadcastError
+from .errors import ConfigError, LoadcastError, MissingRows
 from .evaluation import emit_plot_data, evaluate
 from .experiments import builtin_grids, grid_from_config, run_grid
 from .features import FeatureSelector, all_features, assemble
@@ -211,6 +211,9 @@ def _run_grid_cmd(grid, args) -> int:
           f"failures={len(failures)}")
     for (row, seed), error in failures.items():
         print(f"  failed {row} seed{seed}: {error}", file=sys.stderr)
+    if all(report.aggregate(row.name) is None for row in grid.rows):
+        raise MissingRows(f"every grid job failed, so no table was written; "
+                          f"see {Path(args.out) / 'grid.json'}")
     print(f"tables under {Path(args.out) / 'tables'}")
     return 0
 

@@ -326,11 +326,13 @@ def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
                 report.results[(row.name, seed)] = result
 
     write_json(record, report.to_json_dict())
+    tables = out_dir / "tables"
     try:
         text, csv_text = render_table(report, grid.style)
-    except MissingRows:
-        return report  # every row failed; grid.json carries the record
-    tables = out_dir / "tables"
+    except MissingRows:  # every row failed; grid.json carries the record
+        for path in (tables / f"{grid.style}.txt", tables / f"{grid.style}.csv"):
+            path.unlink(missing_ok=True)  # an earlier run's table would contradict it
+        return report
     tables.mkdir(exist_ok=True)
     write_text(tables / f"{grid.style}.txt", text)
     write_text(tables / f"{grid.style}.csv", csv_text)

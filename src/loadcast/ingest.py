@@ -201,127 +201,124 @@ def _read_rows(path, expected_header) -> list[list[str]]:
     return _read_rows(path, expected_header)  # the file changed between the reads
 
 
-# Each reader converts whole columns with builtins (`float`, `int`, and
-# `parse_hour` once per distinct hour text) and checks them as array masks.
-# Any failure, ValueError included, sends the rows through the per-row checks
-# below, which raise the error of the first bad row in file order, worded as
-# that row alone would be.
+# Each reader is one pass over whole columns: builtins (`float`, `int`, and
+# `parse_hour` once per distinct hour text) convert them and array masks check
+# them, in the order of a single row's checks. A failed check raises _BadRow
+# for the first row it rejects; a row before that one may still fail a later
+# check, so `_check` reruns the pass on the rows before the row it named until
+# the pass accepts them all. The last row named is then the first bad row in
+# file order, and its error is worded as that row alone would be.
 
-def _numbered_rows(path):
-    """(physical line the row starts on, row) for each data row of a file that
-    `_read_rows` accepted; a quoted field may span lines, so only a second
-    read can tell. Used on the error path only."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        end = reader.line_num
-        for row in reader:
-            yield end + 1, row
-            end = reader.line_num
+class _BadRow(Exception):
+    """`_BadRow(index, error)`: data row `index` (from 0) fails a check, and
+    `error` is its LoadcastError or the reason of a MalformedRow."""
+
+
+def _require(ok: np.ndarray, error) -> None:
+    """_BadRow with `error(i)` for the first row i where `ok` is False."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise _BadRow(i, error(i))
+
+
+def _check(path, header: list[str], checks):
+    """`checks` of the data rows of the CSV file `path` with `header`, or the
+    error of the first row it rejects in file order."""
+    rows = _read_rows(path, header)
+    try:
+        return checks(rows)
+    except _BadRow as bad:
+        index, error = bad.args
+    while True:
+        try:
+            checks(rows[:index])
+            break
+        except _BadRow as bad:
+            index, error = bad.args
+    if isinstance(error, str):  # a quoted field may span lines: a re-read finds the line
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            for _ in range(index + 1):  # the header and the rows before
+                next(reader)
+        raise MalformedRow(reader.line_num + 1, error)
+    raise error
 
 
 def _columns(rows: list[list[str]], width: int) -> list[tuple[str, ...]]:
-    """The `width` columns of the rows; ValueError if a row has another width."""
+    """The `width` columns of the rows."""
     if set(map(len, rows)) - {width}:
-        raise ValueError("wrong field count")
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise _BadRow(i, f"expected {width} fields, got {len(rows[i])}")
     return list(zip(*rows)) or [()] * width
 
 
 def _parse_hours(texts) -> np.ndarray:
     """datetime64[h] of each text, parsing each distinct text once."""
     distinct = dict.fromkeys(texts)
-    hours = np.array([_hour_number(text) for text in distinct], dtype=np.int64)
-    index = dict(zip(distinct, range(len(distinct))))
-    return hours.astype(HOUR_DTYPE)[np.fromiter(map(index.__getitem__, texts), np.intp,
-                                                len(texts))]
-
-
-def _parse_floats(columns) -> np.ndarray:
-    """(n, len(columns)) float64 of the columns' text; ValueError if any is not
-    a finite float."""
-    n = len(columns[0])
-    values = np.fromiter(map(float, chain.from_iterable(columns)), np.float64,
-                         n * len(columns))
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite value")
-    return np.ascontiguousarray(values.reshape(len(columns), n).T)
-
-
-def _row_stamp(row: list[str], width: int, line_no: int) -> np.datetime64:
-    if len(row) != width:
-        raise MalformedRow(line_no, f"expected {width} fields, got {len(row)}")
-    try:
-        return parse_hour(row[0])
-    except ValueError as exc:
-        raise MalformedRow(line_no, str(exc)) from None
-
-
-def _parse_float(text: str, line_no: int, what: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise MalformedRow(line_no, f"bad {what}: {text!r}") from None
-    if not math.isfinite(value):
-        raise MalformedRow(line_no, f"non-finite {what}: {text!r}")
-    return value
-
-
-def _raise_first_load_error(numbered) -> None:
-    for line_no, row in numbered:
-        stamp = _row_stamp(row, len(LOAD_HEADER), line_no)
-        if _parse_float(row[1], line_no, "load_mw") <= 0:
-            raise NonPositiveLoad(format_hour(stamp))
-
-
-def _raise_first_weather_error(numbered) -> None:
-    seen: set[tuple[np.datetime64, int]] = set()
-    for line_no, row in numbered:
-        stamp = _row_stamp(row, len(WEATHER_HEADER), line_no)
+    hours = []
+    for text in distinct:  # in order of first occurrence
         try:
-            zone = int(row[1])
+            hours.append(_hour_number(text))
+        except ValueError as exc:
+            raise _BadRow(texts.index(text), str(exc)) from None
+    index = dict(zip(distinct, range(len(distinct))))
+    return np.array(hours, dtype=np.int64).astype(HOUR_DTYPE)[
+        np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))]
+
+
+def _parse_zones(texts) -> np.ndarray:
+    """The int zone_id of each text, each in 0-7."""
+    try:
+        zones = np.fromiter(map(int, texts), np.int64, len(texts))
+        if ((zones >= 0) & (zones < N_ZONES)).all():
+            return zones
+    except (ValueError, OverflowError):  # OverflowError: a zone_id beyond int64
+        pass
+    for i, text in enumerate(texts):
+        try:
+            zone = int(text)
         except ValueError:
-            raise MalformedRow(line_no, f"bad zone_id: {row[1]!r}") from None
+            raise _BadRow(i, f"bad zone_id: {text!r}") from None
         if not 0 <= zone < N_ZONES:
-            raise UnknownZone(zone)
-        temp, _, _, lwrad, swrad = (
-            _parse_float(row[i], line_no, WEATHER_HEADER[i]) for i in range(2, 7)
-        )
-        if temp <= 0:
-            raise NonPhysical(f"temp_k {temp} <= 0 at {format_hour(stamp)} zone {zone}")
-        if lwrad < 0 or swrad < 0:
-            raise NonPhysical(f"negative radiation at {format_hour(stamp)} zone {zone}")
-        if (stamp, zone) in seen:
-            raise DuplicateZoneHour(format_hour(stamp), zone)
-        seen.add((stamp, zone))
+            raise _BadRow(i, UnknownZone(zone))
 
 
-def _raise_first_aligned_error(numbered) -> None:
-    previous, width = None, len(aligned_csv_header())
-    for line_no, row in numbered:
-        stamp = _row_stamp(row, width, line_no)
-        if previous is not None and stamp <= previous:
-            if stamp == previous:
-                raise DuplicateTimestamp(format_hour(stamp))
-            raise MalformedRow(line_no, "timestamps out of order")
-        if _parse_float(row[1], line_no, "load_mw") <= 0:
-            raise NonPositiveLoad(format_hour(stamp))
-        for text in row[2:]:
-            _parse_float(text, line_no, "weather value")
-        previous = stamp
+def _parse_floats(columns, names) -> np.ndarray:
+    """(n, len(columns)) float64 of the columns' text, each a finite float."""
+    n = len(columns[0])
+    try:
+        values = np.fromiter(map(float, chain.from_iterable(columns)), np.float64,
+                             n * len(columns))
+        if np.isfinite(values).all():
+            return np.ascontiguousarray(values.reshape(len(columns), n).T)
+    except ValueError:
+        pass
+    for i, row in enumerate(zip(*columns)):
+        for name, text in zip(names, row):
+            try:
+                value = float(text)
+            except ValueError:
+                raise _BadRow(i, f"bad {name}: {text!r}") from None
+            if not math.isfinite(value):
+                raise _BadRow(i, f"non-finite {name}: {text!r}")
+
+
+def _parse_loads(texts, stamps) -> np.ndarray:
+    """load_mw of each text, each > 0; `stamps` name the hour of a bad one."""
+    loads = _parse_floats([texts], ["load_mw"])[:, 0]
+    _require(loads > 0, lambda i: NonPositiveLoad(format_hour(stamps[i])))
+    return loads
+
+
+def _load_rows(rows):
+    stamp_col, load_col = _columns(rows, len(LOAD_HEADER))
+    stamps = _parse_hours(stamp_col)
+    return stamps, _parse_loads(load_col, stamps)
 
 
 def parse_load_csv(path) -> LoadSeries:
     """Parse `timestamp_cst,load_mw` rows into a gap-annotated hourly series."""
-    rows = _read_rows(path, LOAD_HEADER)
-    try:
-        stamp_col, load_col = _columns(rows, len(LOAD_HEADER))
-        stamps = _parse_hours(stamp_col)
-        loads = _parse_floats([load_col])[:, 0]
-        if not (loads > 0).all():
-            raise ValueError("non-positive load")
-    except ValueError:
-        _raise_first_load_error(_numbered_rows(path))
-        raise
+    stamps, loads = _check(path, LOAD_HEADER, _load_rows)
     order = np.argsort(stamps, kind="stable")
     stamps, loads = stamps[order], loads[order]
     repeats = np.flatnonzero(np.diff(stamps).astype(np.int64) == 0)
@@ -330,25 +327,26 @@ def parse_load_csv(path) -> LoadSeries:
     return LoadSeries(_readonly(stamps), _readonly(loads))
 
 
+def _weather_rows(rows):
+    stamp_col, zone_col, *value_cols = _columns(rows, len(WEATHER_HEADER))
+    stamps = _parse_hours(stamp_col)
+    zones = _parse_zones(zone_col)
+    values = _parse_floats(value_cols, WEATHER_HEADER[2:])
+    _require(values[:, 0] > 0, lambda i: NonPhysical(
+        f"temp_k {float(values[i, 0])} <= 0 at {format_hour(stamps[i])} zone {zones[i]}"))
+    _require((values[:, 3:] >= 0).all(axis=1), lambda i: NonPhysical(
+        f"negative radiation at {format_hour(stamps[i])} zone {zones[i]}"))
+    order = np.lexsort((zones, stamps))  # stable: repeats of a pair keep file order
+    repeat = np.zeros(len(rows), dtype=bool)
+    keys = stamps[order].astype(np.int64) * N_ZONES + zones[order]
+    repeat[order[1:][np.diff(keys) == 0]] = True
+    _require(~repeat, lambda i: DuplicateZoneHour(format_hour(stamps[i]), int(zones[i])))
+    return WeatherColumns(stamps[order], zones[order], values[order])
+
+
 def parse_weather_csv(path) -> WeatherColumns:
     """Parse per-zone weather rows keyed by UTC hour; units preserved as given."""
-    rows = _read_rows(path, WEATHER_HEADER)
-    try:
-        stamp_col, zone_col, *value_cols = _columns(rows, len(WEATHER_HEADER))
-        stamps = _parse_hours(stamp_col)
-        zones = np.fromiter(map(int, zone_col), np.int64, len(rows))
-        values = _parse_floats(value_cols)
-        if not (((zones >= 0) & (zones < N_ZONES)).all() and (values[:, 0] > 0).all()
-                and (values[:, 3:] >= 0).all()):
-            raise ValueError("value out of range")
-        order = np.lexsort((zones, stamps))
-        keys = stamps[order].astype(np.int64) * N_ZONES + zones[order]
-        if not (np.diff(keys) > 0).all():
-            raise ValueError("duplicate (stamp, zone) pair")
-    except (ValueError, OverflowError):  # OverflowError: a zone_id beyond int64
-        _raise_first_weather_error(_numbered_rows(path))
-        raise
-    return WeatherColumns(stamps[order], zones[order], values[order])
+    return _check(path, WEATHER_HEADER, _weather_rows)
 
 
 def align(load: LoadSeries, weather: WeatherColumns) -> AlignedSeries:
@@ -405,20 +403,20 @@ def write_aligned_csv(series: AlignedSeries, path) -> None:
               zip(format_hour(series.stamps).tolist(), *values.T.tolist()))
 
 
+def _aligned_rows(rows):
+    stamp_col, load_col, *weather_cols = _columns(rows, len(aligned_csv_header()))
+    stamps = _parse_hours(stamp_col)
+    steps = np.diff(stamps).astype(np.int64)
+    _require(np.concatenate(([True], steps > 0)),
+             lambda i: DuplicateTimestamp(format_hour(stamps[i])) if steps[i - 1] == 0
+             else "timestamps out of order")
+    loads = _parse_loads(load_col, stamps)
+    weather = _parse_floats(weather_cols, ["weather value"] * len(weather_cols))
+    return stamps, loads, weather.reshape(-1, N_ZONES, len(ZONE_VARS))
+
+
 def read_aligned_csv(path) -> AlignedSeries:
-    expected = aligned_csv_header()
-    rows = _read_rows(path, expected)
-    try:
-        stamp_col, *value_cols = _columns(rows, len(expected))
-        stamps = _parse_hours(stamp_col)
-        values = _parse_floats(value_cols)
-        if not ((np.diff(stamps).astype(np.int64) > 0).all() and (values[:, 0] > 0).all()):
-            raise ValueError("stamp out of order or non-positive load")
-    except ValueError:
-        _raise_first_aligned_error(_numbered_rows(path))
-        raise
-    if not rows:
+    stamps, loads, weather = _check(path, aligned_csv_header(), _aligned_rows)
+    if not len(stamps):
         raise EmptyIntersection("aligned file has no rows")
-    weather = values[:, 1:].reshape(len(rows), N_ZONES, len(ZONE_VARS))
-    return AlignedSeries(stamps, _readonly(np.ascontiguousarray(values[:, 0])),
-                         _readonly(weather))
+    return AlignedSeries(stamps, _readonly(loads), _readonly(weather))

@@ -10,6 +10,7 @@ float32 on float64 parameters; prediction computes in float64.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,7 @@ from .ingest import AlignedSeries, format_hour
 from .neural import LSTM, Adam, Conv1D, Dense, Dropout, Flatten, Network, mse_loss
 
 MODEL_KINDS = ("persistence", "svr", "fcnn", "lstm", "lrcn")
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,17 @@ class ModelSpec:
             raise InvalidSpec(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         if self.svr_mode not in ("epsilon", "ridge"):
             raise InvalidSpec(f"svr_mode must be 'epsilon' or 'ridge', got {self.svr_mode!r}")
-        if not (self.svr_c > 0 and self.svr_epsilon >= 0):
-            raise InvalidSpec(f"svr_c must be > 0 and svr_epsilon >= 0, got "
-                              f"{self.svr_c}, {self.svr_epsilon}")
+        # bounds, not math.isfinite: an int may stand for a float, also one too big for it
+        if not (0 < self.svr_c <= _FLOAT_MAX and 0 <= self.svr_epsilon <= _FLOAT_MAX):
+            raise InvalidSpec(f"svr_c must be finite and > 0 and svr_epsilon finite and "
+                              f">= 0, got {self.svr_c}, {self.svr_epsilon}")
+        if not 0 <= self.svr_lambda <= _FLOAT_MAX:
+            raise InvalidSpec(f"svr_lambda must be finite and >= 0, got {self.svr_lambda}")
+        if self.svr_max_iter < 1:
+            raise InvalidSpec(f"svr_max_iter must be >= 1, got {self.svr_max_iter}")
+        for name in ("base_lr", "lr_decay"):
+            if not 0 < getattr(self, name) <= _FLOAT_MAX:
+                raise InvalidSpec(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidSpec(f"dropout must be in [0, 1), got {self.dropout}")
         if self.width_multiplier < 1:

@@ -185,6 +185,17 @@ class TestTrain:
         # a path of another type: open() would read file descriptor 5
         ("data", "aligned", 5, "ConfigError"),
         ("data", "load", ["x"], "ConfigError"),
+        # training and solver values out of range, NaN and Infinity included
+        ("model", "svr_epsilon", float("inf"), "InvalidSpec"),
+        ("model", "svr_c", float("inf"), "InvalidSpec"),
+        ("model", "svr_lambda", float("nan"), "InvalidSpec"),
+        ("model", "svr_lambda", -1, "InvalidSpec"),
+        ("model", "svr_max_iter", 0, "InvalidSpec"),
+        ("training", "base_lr", -1, "InvalidSpec"),
+        ("training", "base_lr", float("nan"), "InvalidSpec"),
+        ("training", "lr_decay", -1, "InvalidSpec"),
+        pytest.param("training", "base_lr", 10**400, "InvalidSpec",  # no float holds it
+                     id="training-base_lr-10**400-InvalidSpec"),
     ])
     def test_wrong_typed_field_rejected(self, tmp_path, capsys, section, key, value, code):
         cfg = train_config("/nonexistent/aligned.csv", tmp_path / "out")
@@ -357,6 +368,22 @@ class TestGrid:
         assert code == 1
         assert "error[InvalidConfig]" in capsys.readouterr().err
         assert not (tmp_path / "escaped").exists()
+
+    def test_every_job_failing_exits_nonzero(self, aligned_csv, tmp_path, capsys):
+        grid_cfg = {"name": "doomed", "seeds": [0], "rows": [
+            {"name": "a", "model": {"kind": "lrcn", "conv_kernel": 7, "epochs": 1}}]}
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(grid_cfg))
+        out = tmp_path / "out"
+        code = main(["grid", str(cfg_path), str(aligned_csv), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "failures=1" in captured.out and "tables under" not in captured.out
+        assert "failed a seed0: InvalidSpec" in captured.err
+        assert captured.err.rstrip().split("\n")[-1] == (
+            f"error[MissingRows]: every grid job failed, so no table was written; "
+            f"see {out / 'grid.json'}")
+        assert not (out / "tables").exists()
 
     def test_unknown_grid_name_lists_builtins(self, aligned_csv, tmp_path, capsys):
         code = main(["grid", "table9", str(aligned_csv), "--out", str(tmp_path)])

@@ -378,6 +378,16 @@ class TestRunGrid:
         assert (tmp_path / "grid.json").exists()
         assert not (tmp_path / "tables").exists()
 
+    def test_all_rows_failing_removes_earlier_tables(self, tmp_path):
+        run_grid(tiny_grid(), toy_series(160, seed=1), tmp_path)
+        style = tiny_grid().style
+        assert (tmp_path / "tables" / f"{style}.csv").exists()
+        rows = (GridRow("bad",
+                        ModelSpec(kind="lrcn", conv_kernel=7, epochs=1), FeatureSelector()),)
+        run_grid(ExperimentGrid("doomed", rows, seeds=(0,), style=style),
+                 toy_series(160, seed=1), tmp_path)
+        assert list((tmp_path / "tables").iterdir()) == []
+
     def test_workers_give_same_tables(self, tmp_path):
         series = toy_series(160, seed=1)
         run_grid(tiny_grid(), series, tmp_path / "serial", workers=1)

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from loadcast.errors import (
     NonPositiveLoad,
     UnknownZone,
 )
-from loadcast import ingest
 from loadcast.ingest import (
     align,
     combine_wind,
@@ -698,12 +699,25 @@ class TestFuzzReaders:
         path.write_bytes(content)
         try:
             READERS[kind](path)
-        except LoadcastError:
+        except LoadcastError as exc:
+            line_no = getattr(exc, "line_no", None)
+        else:
             return
-        # what the column checks accept, the per-row checks accept too
-        check_rows = {
-            "load": ingest._raise_first_load_error,
-            "weather": ingest._raise_first_weather_error,
-            "aligned": ingest._raise_first_aligned_error,
-        }[kind]
-        check_rows(ingest._numbered_rows(path))
+        try:
+            text = content.decode("utf-8")
+            lines = io.StringIO(text, newline="").readlines()  # the lines csv.reader counts
+            list(csv.reader(lines))
+        except (UnicodeDecodeError, csv.Error):
+            return
+        if line_no in (None, 1):
+            return
+        # the rows before the line named are good: as a file of their own they
+        # parse, or fail only as a whole file
+        prefix = tmp_path / f"prefix_{kind}.csv"
+        prefix.write_bytes("".join(lines[:line_no - 1]).encode("utf-8"))
+        whole_file_errors = {"load": (DuplicateTimestamp,), "weather": (),
+                             "aligned": (EmptyIntersection,)}[kind]
+        try:
+            READERS[kind](prefix)
+        except whole_file_errors:
+            pass
