@@ -118,7 +118,13 @@ def replace_atomically(path):
 
 
 def write_text(path, text: str) -> None:
-    """Replace `path` atomically with `text`."""
+    """Replace `path` atomically with `text`; a file that already holds
+    exactly these bytes is left as it is."""
+    try:
+        if Path(path).read_bytes() == text.encode("utf-8"):
+            return
+    except OSError:  # missing or unreadable: write it
+        pass
     with replace_atomically(path) as tmp:
         tmp.write_text(text, encoding="utf-8")
 

@@ -16,12 +16,13 @@ Failures are recorded per row; the run continues.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,7 @@ from .models import ModelSpec, load as load_model, save as save_model, train
 
 DEFAULT_SEEDS = (0, 1, 2)
 TABLE_STYLES = ("table1", "table2", "table5")
+WORKER_LOST = "WorkerLost: a grid worker process died before this job's result came back"
 
 
 @dataclass(frozen=True)
@@ -183,9 +185,8 @@ class GridReport:
 
     def aggregate(self, row_name: str) -> dict | None:
         """Mean and best metrics over the seeds that succeeded, else None."""
-        ok = [self.results[(row_name, s)] for s in self.grid.seeds
-              if (row_name, s) in self.results
-              and self.results[(row_name, s)].error is None]
+        ok = [r for s in self.grid.seeds
+              if (r := self.results.get((row_name, s))) is not None and r.error is None]
         if not ok:
             return None
         mapes = [r.mape_pct for r in ok]
@@ -268,6 +269,46 @@ def _vouched_rows(record: Path, config_doc: dict, data_hash: str) -> set[str]:
     return set()
 
 
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, or None where numpy's build exports no such pair."""
+    import ctypes
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy loaded: same file
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's BLAS on one thread, then give the caller's
+    thread count back; without a setter, leave the count alone.
+
+    A matrix product sums in another order under another thread count, so
+    this is what makes a grid's bytes independent of the host's threads.
+    """
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
              workers: int = 1) -> GridReport:
     """Train/evaluate every (row, seed), persist artifacts, render tables.
@@ -275,7 +316,8 @@ def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
     `out_dir/grid.json` is written before the first job. A rerun reuses the
     artifacts that load of each row that the earlier record lists unchanged,
     on the same data, window and split; every other job retrains, and only
-    those jobs reach the `workers` processes.
+    those jobs reach the `workers` processes. Every job that trains runs on
+    one BLAS thread. A job whose worker process dies is a failed row.
     """
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
@@ -297,32 +339,44 @@ def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
 
     # Rows the earlier record does not vouch for lose their artifacts for every
     # seed before this run's record replaces it, so a run stopped at any point
-    # leaves no artifact that a record falsely vouches for.
+    # leaves no artifact that a record falsely vouches for. Reuse is decided
+    # here too, before the record is written and before any worker starts, so
+    # a fully resumed grid rewrites no file and only the jobs that train reach
+    # the pool. Every key is set in grid order, reused or not, since
+    # `loadcast grid` lists failures in the order of `results`.
     record = out_dir / "grid.json"
     vouched = _vouched_rows(record, config_doc, report.data_hash)
+    jobs = []
     for row in grid.rows:
         if row.name not in vouched:
             for name in ("model.lcst", "report.json"):
                 for path in (out_dir / "rows" / row.name).glob(f"seed*/{name}"):
                     path.unlink()
-    write_json(record, report.to_json_dict())
-
-    # Reuse is decided here, before any worker starts, so only the jobs that
-    # train reach the pool. Every key is set in grid order, reused or not,
-    # since `loadcast grid` lists failures in the order of `results`.
-    jobs = []
-    for row in grid.rows:
         for seed in grid.seeds:
             result = _reused(_job_dir(out_dir, row, seed)) if row.name in vouched else None
             report.results[(row.name, seed)] = result
             if result is None:
                 jobs.append((row, seed))
+    write_json(record, report.to_json_dict())
+
     workers = min(workers, len(jobs))  # a pool starts every worker up front
     if jobs:
-        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-            results = (pool.map if pool else map)(
-                _run_one, repeat(grid), *zip(*jobs), repeat(series), repeat(out_dir))
-            for (row, seed), result in zip(jobs, results):
+        # The count is set here, before the pool forks (Linux's default start),
+        # so each worker inherits one BLAS thread and starts no BLAS server
+        # thread. A spawned worker would load BLAS afresh at the host's count,
+        # and setting the count inside a forked worker starts a server thread
+        # there: its jobs took twice as long.
+        with _one_blas_thread(), \
+                ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            # one map per job, so when a worker dies every result that came
+            # back is kept and only the jobs still out are lost
+            pending = [(pool.map if pool else map)(
+                _run_one, (grid,), (row,), (seed,), (series,), (out_dir,)) for row, seed in jobs]
+            for (row, seed), one in zip(jobs, pending):
+                try:
+                    result = next(one)
+                except BrokenProcessPool:  # a worker died: the pool lost every job still out
+                    result = RowSeedResult(error=WORKER_LOST)
                 report.results[(row.name, seed)] = result
 
     write_json(record, report.to_json_dict())

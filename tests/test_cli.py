@@ -473,11 +473,12 @@ class TestAtomicWrites:
         aligned, model = tmp_path / "ing" / "aligned.csv", tmp_path / "train" / "model.lcst"
         cfg, grid_cfg = tmp_path / "run.json", tmp_path / "grid_cfg.json"
         cfg.write_text(json.dumps(train_config(aligned, tmp_path / "train")))
-        grid_cfg.write_text(json.dumps(
-            {"name": "mini", "rows": [{"name": "p", "model": {"kind": "persistence"}}]}))
 
         def run_all(variant):  # the second variant changes every file the first wrote
             src = (synth_dir, other)[variant]
+            # a persistence table is the same under any seed, so its row name changes
+            row = {"name": f"p{variant}", "model": {"kind": "persistence"}}
+            grid_cfg.write_text(json.dumps({"name": "mini", "rows": [row]}))
             for argv in (
                     ["synth", "--years", "0.01", "--seed", str(variant),
                      "--out", str(tmp_path / "synth")],

@@ -1,6 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from loadcast.experiments import (
 )
 from loadcast.features import FeatureSelector, all_features
 from loadcast.models import ModelSpec, train
+from loadcast.synthetic import generate_synthetic
 
 from _util import mutated, toy_series
 
@@ -54,6 +60,22 @@ def _no_training(*args, **kwargs):
 def _files(root):
     """relative path -> bytes for every file under root."""
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# One default LSTM row, trained in a fresh interpreter whose BLAS thread
+# count comes from the environment: argv is the synthetic data directory and
+# the grid's output directory.
+THREADED_GRID = """
+import sys
+from loadcast.experiments import ExperimentGrid, GridRow, run_grid
+from loadcast.ingest import align, parse_load_csv, parse_weather_csv
+from loadcast.models import ModelSpec
+
+data, out = sys.argv[1:]
+series = align(parse_load_csv(data + "/load.csv"), parse_weather_csv(data + "/weather.csv"))
+grid = ExperimentGrid("threads", (GridRow("lstm", ModelSpec(kind="lstm", epochs=1)),), seeds=(0,))
+run_grid(grid, series, out, workers=1)
+"""
 
 
 def tiny_grid(seeds=(0, 1), name="tiny"):
@@ -397,6 +419,81 @@ class TestRunGrid:
         assert _files(tmp_path / "par") == serial
         run_grid(tiny_grid(), series, tmp_path / "par", workers=2)  # a resumed rerun
         assert _files(tmp_path / "par") == serial
+
+    def test_grid_bytes_ignore_the_blas_thread_count(self, tmp_path):
+        data = tmp_path / "data"
+        generate_synthetic(0.25, 3, data)
+        src = str(Path(experiments.__file__).parents[1])
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-c", THREADED_GRID, str(data),
+                            str(tmp_path / f"threads{threads}")], env=env, check=True, timeout=300)
+        one = _files(tmp_path / "threads1")
+        assert len(one) == 5  # model.lcst, report.json, grid.json and both tables
+        assert _files(tmp_path / "threads2") == one
+
+    @pytest.mark.parametrize("raised", [ValueError, KeyboardInterrupt])
+    def test_blas_threads_restored(self, tmp_path, monkeypatch, raised):
+        blas = experiments._blas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS exports no thread-count setter")
+        get, put = blas
+        caller = get()
+        seen = []
+
+        def probe(*args, **kwargs):
+            seen.append(get())
+            raise raised("boom")
+
+        monkeypatch.setattr(experiments, "train", probe)
+        put(caller + 1)
+        try:
+            if raised is KeyboardInterrupt:  # escapes run_grid
+                with pytest.raises(KeyboardInterrupt):
+                    run_grid(tiny_grid(), toy_series(160, seed=1), tmp_path)
+            else:  # a failed row
+                run_grid(tiny_grid(), toy_series(160, seed=1), tmp_path)
+            assert set(seen) == {1}
+            assert get() == caller + 1
+        finally:
+            put(caller)
+
+    def test_dead_worker_is_a_failed_row(self, tmp_path, monkeypatch):
+        series = toy_series(160, seed=1)
+        grid = tiny_grid()
+        others = [tmp_path / "rows" / row.name / f"seed{seed}" / "report.json"
+                  for row in grid.rows for seed in grid.seeds][:-1]
+
+        def die_last(ds, spec, features):  # the last job's worker exits once the rest are done
+            if spec.kind == "svr" and spec.seed == 1:
+                deadline = time.monotonic() + 60
+                while not all(p.exists() for p in others) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.2)
+                os._exit(1)
+            return train(ds, spec, features)
+
+        monkeypatch.setattr(experiments, "train", die_last)
+        report = run_grid(grid, series, tmp_path, workers=2)
+        failed = {key: r.error for key, r in report.results.items() if r.error is not None}
+        assert failed == {("svr_ridge", 1): experiments.WORKER_LOST}
+        doc = json.loads((tmp_path / "grid.json").read_text())
+        assert doc["rows"]["svr_ridge"]["per_seed"]["1"]["error"] == experiments.WORKER_LOST
+        assert doc["rows"]["svr_ridge"]["aggregate"]["seeds_ok"] == 1
+        assert (tmp_path / "tables" / "table2.csv").exists()
+
+    def test_fully_resumed_grid_writes_no_file(self, tmp_path):
+        series = toy_series(160, seed=1)
+        run_grid(tiny_grid(), series, tmp_path)
+
+        def stamps():
+            return {p: (p.stat().st_ino, p.stat().st_mtime_ns)
+                    for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+        before = stamps()
+        run_grid(tiny_grid(), series, tmp_path)
+        assert stamps() == before
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, tmp_path, workers):
