@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager, nullcontext
@@ -361,13 +362,14 @@ def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
 
     workers = min(workers, len(jobs))  # a pool starts every worker up front
     if jobs:
-        # The count is set here, before the pool forks (Linux's default start),
-        # so each worker inherits one BLAS thread and starts no BLAS server
-        # thread. A spawned worker would load BLAS afresh at the host's count,
-        # and setting the count inside a forked worker starts a server thread
-        # there: its jobs took twice as long.
-        with _one_blas_thread(), \
-                ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        # The count is set here, before the pool forks, so each worker
+        # inherits one BLAS thread and starts no BLAS server thread. The fork
+        # start is asked for by name: a spawned or forkserver worker would load
+        # BLAS afresh at the host's count, and setting the count inside a
+        # forked worker starts a server thread there: its jobs took twice as long.
+        fork = multiprocessing.get_context("fork")
+        with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=fork) \
+                if workers > 1 else nullcontext() as pool:
             # one map per job, so when a worker dies every result that came
             # back is kept and only the jobs still out are lost
             pending = [(pool.map if pool else map)(

@@ -118,23 +118,25 @@ class FeatureMatrix:
     load_channel: int | None = field(default=None)
 
 
+def feature_values(stamps, load_mw, weather, selector: FeatureSelector) -> np.ndarray:
+    """The read-only (n, channels) float64 matrix of n aligned hours in
+    `selector`'s channel order, from the `stamps`, `load_mw` and `weather`
+    columns of an `AlignedSeries` (or of its rows)."""
+    n = len(stamps)
+    zones = np.array(selector.zones, dtype=np.intp)
+    cols = np.array([_ZONE_COL[w] for w in selector.weather_features], dtype=np.intp)
+    columns = [np.asarray(load_mw, dtype=np.float64)[:, None]] if selector.include_load else []
+    columns.extend(encode_time(stamps, t, selector.time_encoding) for t in selector.time_features)
+    # one gather: the (feature, zone) index pairs give (n, features, zones) in channel order
+    columns.append(weather[:, zones[None, :], cols[:, None]].reshape(n, len(cols) * len(zones)))
+    values = np.concatenate(columns, axis=1)
+    if values.shape[1] == 0:
+        raise EmptySelector("selector yields zero channels")
+    values.setflags(write=False)
+    return values
+
+
 def assemble(series: AlignedSeries, selector: FeatureSelector) -> FeatureMatrix:
     """Build the numeric feature matrix for every row of an aligned series."""
-    names = selector.channel_names()
-    if not names:
-        raise EmptySelector("selector yields zero channels")
-    n = len(series)
-    columns: list[np.ndarray] = []
-    load_channel = None
-    if selector.include_load:
-        load_channel = 0
-        columns.append(np.asarray(series.load_mw, dtype=np.float64))
-    for t in selector.time_features:
-        columns.extend(encode_time(series.stamps, t, selector.time_encoding).T)
-    for w in selector.weather_features:
-        col = _ZONE_COL[w]
-        for z in selector.zones:
-            columns.append(series.weather[:, z, col])
-    values = np.column_stack(columns) if columns else np.empty((n, 0))
-    values.setflags(write=False)
-    return FeatureMatrix(values, names, load_channel)
+    return FeatureMatrix(feature_values(series.stamps, series.load_mw, series.weather, selector),
+                         selector.channel_names(), 0 if selector.include_load else None)

@@ -10,6 +10,7 @@ float32 on float64 parameters; prediction computes in float64.
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ from .errors import (
     NotContiguous,
     ShapeMismatch,
 )
-from .features import FeatureSelector, assemble
+from .features import FeatureSelector, feature_values
 from .ingest import AlignedSeries, format_hour
 from .neural import LSTM, Adam, Conv1D, Dense, Dropout, Flatten, Network, mse_loss
 
@@ -271,7 +272,7 @@ def predict_batch(model: TrainedModel, raw_inputs: np.ndarray) -> np.ndarray:
         last = raw_inputs[:, -1, model.load_channel]
         return np.repeat(last[:, None], t2, axis=1)
     if model.spec.kind == "svr":
-        x = model.normalizer.transform(raw_inputs).reshape(len(raw_inputs), -1)
+        x = model.normalizer.transform(raw_inputs).reshape(len(raw_inputs), math.prod(expected))
         y_norm = x @ model.params["svr_w"].T + model.params["svr_b"]
         return model.normalizer.inverse_transform_load(y_norm)
     net = _network_for(model)
@@ -295,9 +296,10 @@ def predict_at(model: TrainedModel, series: AlignedSeries, end: np.datetime64) -
     # stamps strictly increase, so t1 rows span t1 - 1 hours only without a gap
     if series.stamps[end_idx] - series.stamps[start_idx] != t1 - 1:
         raise NotContiguous(f"the {t1} hours ending at {format_hour(end)} cross a gap")
-    rows = slice(start_idx, end_idx + 1)  # features are per row: assemble only these
-    hours = AlignedSeries(series.stamps[rows], series.load_mw[rows], series.weather[rows])
-    return predict_batch(model, assemble(hours, model.selector).values[None])[0]
+    rows = slice(start_idx, end_idx + 1)  # features are per row: build only these
+    values = feature_values(series.stamps[rows], series.load_mw[rows], series.weather[rows],
+                            model.selector)
+    return predict_batch(model, values[None])[0]
 
 
 def save(model: TrainedModel, path) -> None:

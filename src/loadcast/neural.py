@@ -17,6 +17,8 @@ naming the offending layer.
 
 A layer's constructor declares its parameter shapes and draws values only
 from an rng it is given; without one, `Network.set_params` supplies them.
+Gradient buffers are created by the first `zero_grads` (an rng-built layer
+runs it at once), so a network built only to predict holds none.
 """
 
 from __future__ import annotations
@@ -47,13 +49,9 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         if rng is not None:
-            self._adopt({key: glorot_uniform(rng, shape) if len(shape) > 1 else np.zeros(shape)
-                        for key, shape in shapes.items()})
-
-    def _adopt(self, params: dict[str, np.ndarray]) -> None:
-        """Use `params` (not copies) and start fresh zero gradients."""
-        self.params = params
-        self.grads = {key: np.zeros(shape) for key, shape in self.shapes.items()}
+            self.params = {key: glorot_uniform(rng, shape) if len(shape) > 1 else np.zeros(shape)
+                           for key, shape in shapes.items()}
+            self.zero_grads()
 
     def _params_as(self, dtype, *keys: str) -> list[np.ndarray]:
         """The named parameters in `dtype`; in float64, the arrays themselves."""
@@ -67,6 +65,9 @@ class Layer:
         raise NotImplementedError
 
     def zero_grads(self) -> None:
+        """Zero the gradient buffers, creating them on first use."""
+        if not self.grads:
+            self.grads = {key: np.zeros(shape) for key, shape in self.shapes.items()}
         for g in self.grads.values():
             g[...] = 0.0
 
@@ -302,7 +303,7 @@ class Flatten(Layer):
 
     def forward(self, x, training=False, rng=None):
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
     def backward(self, grad_out):
         return grad_out.reshape(self._shape)
@@ -358,7 +359,8 @@ class Network:
         return {k: v.copy() for k, v in self.named_params().items()}
 
     def set_params(self, params: dict[str, np.ndarray]) -> None:
-        """Adopt `params`, without copying, once they fit the declared shapes."""
+        """Adopt `params`, without copying, once they fit the declared shapes;
+        no gradient buffer is allocated (`zero_grads` creates them)."""
         shapes = self.named_shapes()
         if set(shapes) != set(params):
             raise ShapeMismatch(
@@ -367,7 +369,7 @@ class Network:
             if np.shape(value) != shapes[key]:
                 raise ShapeMismatch(f"{key}: shape {np.shape(value)} != {shapes[key]}")
         for idx, layer in enumerate(self.layers):
-            layer._adopt({key: params[f"layer{idx}.{key}"] for key in layer.shapes})
+            layer.params = {key: params[f"layer{idx}.{key}"] for key in layer.shapes}
 
 
 class Adam:

@@ -34,12 +34,13 @@ from _util import mutated, toy_series
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """The sizes of the pools run_grid starts; their jobs run in this process."""
+    """(max_workers, start method) of each pool run_grid starts; their jobs
+    run in this process."""
     started = []
 
     class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+        def __init__(self, max_workers, mp_context=None):
+            started.append((max_workers, mp_context and mp_context.get_start_method()))
 
         def __enter__(self):
             return self
@@ -503,8 +504,13 @@ class TestRunGrid:
 
     def test_pool_no_larger_than_the_jobs(self, tmp_path, pool_starts):
         report = run_grid(tiny_grid(), toy_series(160, seed=1), tmp_path, workers=5000)
-        assert pool_starts == [4]  # two rows, two seeds
+        assert [size for size, _ in pool_starts] == [4]  # two rows, two seeds
         assert all(result.error is None for result in report.results.values())
+
+    def test_pool_forks_its_workers(self, tmp_path, pool_starts):
+        # a forked worker inherits the one BLAS thread set before the pool starts
+        run_grid(tiny_grid(), toy_series(160, seed=1), tmp_path, workers=2)
+        assert pool_starts == [(2, "fork")]
 
     def test_fully_resumed_grid_starts_no_pool(self, tmp_path, monkeypatch, pool_starts):
         series = toy_series(160, seed=1)

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loadcast.codec import from_json, to_json
 from loadcast.errors import EmptySelector
-from loadcast.features import FeatureSelector, all_features, assemble, encode_time
+from loadcast.features import (
+    TIME_ENCODINGS,
+    TIME_FEATURES,
+    WEATHER_FEATURES,
+    FeatureSelector,
+    all_features,
+    assemble,
+    encode_time,
+)
+from loadcast.ingest import ZONE_VARS
 
 from _util import toy_series
 
@@ -147,3 +157,40 @@ class TestAssemble:
         for i, stamp in enumerate(series.stamps):
             s, c = encode_time(stamp, "hour", "cyclical")
             assert m.values[i, 1] == s and m.values[i, 2] == c
+
+
+def _per_column(series, sel):
+    """The feature matrix built one channel at a time, in channel order."""
+    columns = [series.load_mw] if sel.include_load else []
+    for t in sel.time_features:
+        columns.extend(encode_time(series.stamps, t, sel.time_encoding).T)
+    for w in sel.weather_features:
+        columns.extend(series.weather[:, z, ZONE_VARS.index(w)] for z in sel.zones)
+    return np.column_stack(columns) if columns else np.empty((len(series), 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_assemble_equals_a_per_column_build(data):
+    n_hours = data.draw(st.integers(1, 60), label="hours")
+    missing = data.draw(st.sets(st.integers(1, n_hours - 1), max_size=n_hours // 3)
+                        if n_hours > 1 else st.just(set()), label="missing")
+    series = toy_series(n_hours, seed=data.draw(st.integers(0, 9)), missing=tuple(missing))
+    sel = FeatureSelector(
+        include_load=data.draw(st.booleans(), label="load"),
+        time_features=tuple(data.draw(st.sets(st.sampled_from(TIME_FEATURES)), label="time")),
+        weather_features=tuple(data.draw(st.sets(st.sampled_from(WEATHER_FEATURES)),
+                                         label="weather")),
+        zones=tuple(data.draw(st.sets(st.integers(0, 7)), label="zones")),
+        time_encoding=data.draw(st.sampled_from(TIME_ENCODINGS), label="encoding"))
+    expected = _per_column(series, sel)
+    if expected.shape[1] == 0:
+        with pytest.raises(EmptySelector):
+            assemble(series, sel)
+        return
+    m = assemble(series, sel)
+    assert m.values.dtype == np.float64 and not m.values.flags.writeable
+    assert m.values.shape == (len(series), len(sel.channel_names()))
+    assert np.array_equal(m.values, expected)
+    assert m.channel_names == sel.channel_names()
+    assert m.load_channel == (0 if sel.include_load else None)

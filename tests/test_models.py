@@ -345,6 +345,68 @@ class TestPredict:
             predict_at(model, series, series.stamps[3])
 
 
+@functools.cache
+def _every_kind():
+    """One small trained model of each kind on a gapped series with time and
+    weather channels, with the series and its windows."""
+    selector = FeatureSelector(time_features=("hour", "month"), weather_features=("temp", "wind"),
+                               zones=(1, 5), time_encoding="cyclical")
+    series, ds = small_dataset(200, selector, seed=4, missing=(150, 151, 170))
+    models = {kind: train(ds, ModelSpec(kind=kind, svr_mode="ridge", fcnn_hidden=(8,),
+                                        lstm_hidden=4, lstm_layers=1, conv_filters=3,
+                                        dense_size=5, epochs=1, seed=5), selector)
+              for kind in ("persistence", "svr", "fcnn", "lstm", "lrcn")}
+    return series, ds, models
+
+
+class TestPredictAtMatchesWindows:
+    """predict_at builds features for its t1 rows only; the result must not
+    depend on that, so every kind has to reproduce predict_batch on the
+    window build_windows made from the whole series."""
+
+    KINDS = ("persistence", "svr", "fcnn", "lstm", "lrcn")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bit_identical_at_every_test_origin(self, kind):
+        series, ds, models = _every_kind()
+        model = models[kind]
+        t1 = ds.cfg.t1
+        test = ds.split_slice("test")
+        assert test.stop - test.start > 10
+        rows = np.searchsorted(series.stamps, ds.origins[test])
+        for i, row in zip(range(test.start, test.stop), rows):
+            got = predict_at(model, series, series.stamps[row + t1 - 1])
+            assert np.array_equal(got, predict_batch(model, ds.inputs[i:i + 1])[0])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_features_built_for_t1_rows(self, kind, monkeypatch):
+        from loadcast import models as models_module
+        series, ds, models = _every_kind()
+        built = []
+        real = models_module.feature_values
+
+        def counted(stamps, *args):
+            built.append(len(stamps))
+            return real(stamps, *args)
+
+        monkeypatch.setattr(models_module, "feature_values", counted)
+        predict_at(models[kind], series, series.stamps[-1])
+        assert built == [ds.cfg.t1]
+
+    @pytest.mark.parametrize("kind", ("fcnn", "lstm", "lrcn"))
+    def test_inference_network_has_no_gradient_buffers(self, kind):
+        from loadcast.models import _network_for
+        net = _network_for(_every_kind()[2][kind])
+        assert net.named_grads() == {}
+        assert net.named_params().keys() == net.named_shapes().keys()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_windows_give_an_empty_forecast(self, kind):
+        _, ds, models = _every_kind()
+        out = predict_batch(models[kind], ds.inputs[:0])
+        assert out.shape == (0, ds.cfg.t2) and out.dtype == np.float64
+
+
 class TestSvrKind:
     def test_svr_trains_one_predictor_per_horizon(self):
         _, ds = small_dataset(200)
