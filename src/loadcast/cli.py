@@ -306,6 +306,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error[ValueError]: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. a window or series too large for any address space
+        print(f"error[MemoryError]: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

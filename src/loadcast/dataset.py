@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrainSplit, MissingLoadChannel, NotFitted, TooFewSamples
+from .errors import EmptyTrainSplit, MissingLoadChannel, TooFewSamples
 from .features import FeatureMatrix
 from .ingest import HOUR_DTYPE
 
@@ -144,13 +144,14 @@ def chronological_split(raw: WindowedDataset,
 @dataclass(frozen=True)
 class Normalizer:
     """Per-channel min-max scaler fitted on train-split input rows, plus a
-    separate (min, max) for the load target. Degenerate channels map to 0.5;
-    out-of-range values pass through the linear map unclipped."""
+    separate (min, max) for the load target, built by `fit` or read from an
+    artifact. Degenerate channels map to 0.5; out-of-range values pass through
+    the linear map unclipped."""
 
-    channel_min: np.ndarray | None = None
-    channel_max: np.ndarray | None = None
-    target_min: float | None = None
-    target_max: float | None = None
+    channel_min: np.ndarray
+    channel_max: np.ndarray
+    target_min: float
+    target_max: float
 
     @classmethod
     def fit(cls, dataset: WindowedDataset) -> "Normalizer":
@@ -161,13 +162,8 @@ class Normalizer:
         cmax = x.max(axis=(0, 1))
         return cls(cmin, cmax, float(y.min()), float(y.max()))
 
-    def _require_fitted(self):
-        if self.channel_min is None or self.channel_max is None:
-            raise NotFitted("normalizer has not been fitted")
-
     def transform(self, x: np.ndarray) -> np.ndarray:
         """Map (..., channels) raw values to the unit scale per channel."""
-        self._require_fitted()
         span = self.channel_max - self.channel_min
         degenerate = span == 0
         safe = np.where(degenerate, 1.0, span)
@@ -177,7 +173,6 @@ class Normalizer:
         return out
 
     def transform_target(self, y: np.ndarray) -> np.ndarray:
-        self._require_fitted()
         span = self.target_max - self.target_min
         if span == 0:
             return np.full_like(np.asarray(y, dtype=np.float64), 0.5)
@@ -185,7 +180,6 @@ class Normalizer:
 
     def inverse_transform_load(self, y: np.ndarray) -> np.ndarray:
         """Map normalized load predictions back to megawatts (exact inverse)."""
-        self._require_fitted()
         span = self.target_max - self.target_min
         if span == 0:
             return np.full_like(np.asarray(y, dtype=np.float64), self.target_min)

@@ -75,10 +75,6 @@ class EmptyTrainSplit(LoadcastError):
     """Normalizer fitting requires a non-empty train split."""
 
 
-class NotFitted(LoadcastError):
-    """Normalizer used before fitting."""
-
-
 # --- neuralcore -----------------------------------------------------------
 
 class ShapeMismatch(LoadcastError):

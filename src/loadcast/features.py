@@ -79,6 +79,17 @@ def all_features(time_encoding: str = "scalar") -> FeatureSelector:
     )
 
 
+# One table per time feature and encoding, a row per value 0 .. period-1, built
+# once with Python floats and math.sin/cos: numpy's vector kernels may differ
+# from them in the last bit, which would change stored features.
+_TIME_TABLES = {
+    which: {"scalar": np.array([(k / (period - 1),) for k in range(period)]),
+            "cyclical": np.array([(math.sin(2.0 * math.pi * (k / period)),
+                                   math.cos(2.0 * math.pi * (k / period)))
+                                  for k in range(period)])}
+    for which, period in zip(TIME_FEATURES, (24, 7, 12))}
+
+
 def encode_time(stamps, which: str, encoding: str = "scalar") -> np.ndarray:
     """Encode one time feature of each hour as 1 (scalar) or 2 (cyclical) values.
 
@@ -87,26 +98,18 @@ def encode_time(stamps, which: str, encoding: str = "scalar") -> np.ndarray:
     day_of_week/6 (Monday=0), (month-1)/11. Cyclical returns
     (sin 2*pi*x, cos 2*pi*x) with x = hour/24, dow/7, (month-1)/12.
     """
-    stamps = np.asarray(stamps, dtype=HOUR_DTYPE)
-    hours = stamps.astype(np.int64)
-    if which == "hour":
-        value, span, period = hours % 24, 23.0, 24
-    elif which == "day_of_week":
-        # 1970-01-01, day 0 of the epoch, was a Thursday (3)
-        value, span, period = (hours // 24 + 3) % 7, 6.0, 7
-    elif which == "month":
-        value, span, period = stamps.astype("datetime64[M]").astype(np.int64) % 12, 11.0, 12
-    else:
+    if which not in _TIME_TABLES:
         raise ValueError(f"unknown time feature {which!r}")
-    if encoding == "scalar":
-        return (value / span)[..., None]
-    if encoding == "cyclical":
-        # math.sin/cos once per distinct value: numpy's vector kernels may
-        # differ from them in the last bit, which would change stored features
-        table = np.array([(math.sin(2.0 * math.pi * (k / period)),
-                           math.cos(2.0 * math.pi * (k / period))) for k in range(period)])
-        return table[value]
-    raise ValueError(f"unknown encoding {encoding!r}")
+    if encoding not in TIME_ENCODINGS:
+        raise ValueError(f"unknown encoding {encoding!r}")
+    stamps = np.asarray(stamps, dtype=HOUR_DTYPE)
+    if which == "month":
+        value = stamps.astype("datetime64[M]").astype(np.int64) % 12
+    else:
+        hours = stamps.astype(np.int64)
+        # 1970-01-01, day 0 of the epoch, was a Thursday (3)
+        value = hours % 24 if which == "hour" else (hours // 24 + 3) % 7
+    return _TIME_TABLES[which][encoding].take(value, axis=0)  # a copy, also of one row
 
 
 @dataclass(frozen=True)

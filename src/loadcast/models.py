@@ -191,7 +191,7 @@ def _train_network(dataset: WindowedDataset, spec: ModelSpec, norm: Normalizer):
 
     history: list[tuple[int, float, float]] = []
     best_val = np.inf
-    best_params = net.get_params()
+    best_params = None  # epoch 0 sets it: a finite val loss is below inf
     wait = 0
     for epoch in range(spec.epochs):
         order = rng.permutation(len(xtr))
@@ -319,8 +319,7 @@ def load(path) -> TrainedModel:
     spec, names, norm = model.spec, model.selector.channel_names(), model.normalizer
     if (model.channel_names != names or "load" not in names
             or model.load_channel != names.index("load")
-            or any(v is None or len(v) != len(names) for v in (norm.channel_min, norm.channel_max))
-            or norm.target_min is None or norm.target_max is None):
+            or any(len(v) != len(names) for v in (norm.channel_min, norm.channel_max))):
         raise CorruptArtifact("artifact channels or normalizer do not fit its feature selector")
     t1, t2, channels = model.window.t1, model.window.t2, len(names)
     if spec.kind == "persistence":

@@ -73,6 +73,20 @@ def test_negative_seed_is_stable_error(tmp_path, capsys, command, code):
     assert not (tmp_path / "out").exists() and not (tmp_path / "load.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_impossible_allocation_is_memory_error(aligned_csv, tmp_path, capsys, command):
+    # each asks for over 128 PiB, more than a 64-bit address space holds, so
+    # it fails at once; under 2**63 bytes, so numpy raises MemoryError
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**train_config(aligned_csv, tmp_path / "out", kind="persistence"),
+                               "window": {"t1": 10**17}}))
+    argv = {"synth": ["synth", "--years", "1e13", "--out", str(tmp_path / "synth")],
+            "train": ["train", "--config", str(cfg)]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error[MemoryError]: ")
+    assert not (tmp_path / "out").exists()
+
+
 class TestIngest:
     def test_summary_printed(self, synth_dir, tmp_path, capsys):
         code = main(["ingest", str(synth_dir / "load.csv"),

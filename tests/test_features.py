@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +58,35 @@ class TestEncodeTime:
     def test_unknown_feature(self):
         with pytest.raises(ValueError):
             encode_time(H("2015-06-01T00"), "minute")
+
+    def test_unknown_encoding(self):
+        with pytest.raises(ValueError, match="unknown encoding 'onehot'"):
+            encode_time(H("2015-06-01T00"), "hour", "onehot")
+
+    @pytest.mark.parametrize("encoding", TIME_ENCODINGS)
+    @pytest.mark.parametrize("which,period", [("hour", 24), ("day_of_week", 7), ("month", 12)])
+    def test_equals_math_reference_over_a_year(self, which, period, encoding):
+        # every hour of 2015 holds a whole period of each feature; the reference
+        # reads each value off a datetime and encodes it with Python floats
+        stamps = np.arange("2015-01-01T00", "2016-01-01T00", dtype="datetime64[h]")
+        expected = []
+        for stamp in stamps.tolist():
+            k = {"hour": stamp.hour, "day_of_week": stamp.weekday(),
+                 "month": stamp.month - 1}[which]
+            x = 2.0 * math.pi * (k / period)
+            expected.append((k / (period - 1),) if encoding == "scalar" else
+                            (math.sin(x), math.cos(x)))
+        got = encode_time(stamps, which, encoding)
+        assert got.dtype == np.float64 and got.shape == (len(stamps), len(expected[0]))
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_writing_a_result_leaves_later_results_alone(self):
+        stamp = H("2015-06-01T06")
+        for encoding in TIME_ENCODINGS:
+            first = encode_time(stamp, "hour", encoding)
+            before = first.copy()
+            first[...] = 9.0
+            assert encode_time(stamp, "hour", encoding).tobytes() == before.tobytes()
 
 
 class TestFeatureSelector:

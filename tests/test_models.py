@@ -26,6 +26,7 @@ from loadcast.errors import (
     EmptyWindow,
     InvalidSpec,
     LoadcastError,
+    NonFiniteLoss,
     NotContiguous,
     ShapeMismatch,
     VersionMismatch,
@@ -214,6 +215,14 @@ class TestTraining:
         val = _dataset_loss(_network_for(model), norm.transform(xva),
                             norm.transform_target(yva), spec.batch_size)
         assert val == best_recorded
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_loss_raises_non_finite_loss(self):
+        # float32 diff * diff overflows while every layer's output stays finite
+        _, ds = small_dataset(200)
+        spec = ModelSpec(kind="fcnn", fcnn_hidden=(), base_lr=1e20, batch_size=8, epochs=3)
+        with pytest.raises(NonFiniteLoss, match="training loss became inf at epoch 0"):
+            train(ds, spec, FeatureSelector())
 
     @pytest.mark.parametrize("kind,empty,error", [
         ("svr", "n_train", EmptyTrainSplit),
