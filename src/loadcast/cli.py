@@ -195,7 +195,8 @@ def _resolve_grid(name_or_path: str):
         "(or pass a JSON grid config path)")
 
 
-def _run_grid_cmd(grid, args) -> int:
+def cmd_grid(args) -> int:
+    grid = _resolve_grid(args.grid)
     if args.seeds is not None:
         try:
             seeds = tuple(int(s) for s in args.seeds.split(",") if s)
@@ -218,12 +219,14 @@ def _run_grid_cmd(grid, args) -> int:
     return 0
 
 
-def cmd_grid(args) -> int:
-    return _run_grid_cmd(_resolve_grid(args.grid), args)
-
-
-def cmd_ablate(args) -> int:
-    return _run_grid_cmd(builtin_grids()["table5"], args)
+def _add_grid_arguments(p: argparse.ArgumentParser, data_help: str) -> None:
+    """The arguments after the grid's name, shared by `grid` and `ablate`."""
+    p.add_argument("aligned_csv", help=data_help)
+    p.add_argument("--out", default="out", help="output directory")
+    p.add_argument("--seeds", default=None, help="comma-separated seed list override")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes for the (row, seed) jobs that train")
+    p.set_defaults(func=cmd_grid)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,22 +271,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="run a builtin or custom experiment grid")
     p.add_argument("grid", help="builtin name (table1..table5) or grid JSON path")
-    p.add_argument("aligned_csv", help="aligned data for every grid row")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seeds", default=None, help="comma-separated seed list override")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for the (row, seed) jobs that train")
-    p.set_defaults(func=cmd_grid)
+    _add_grid_arguments(p, "aligned data for every grid row")
 
     p = sub.add_parser("ablate", help="run the leave-one-feature-out ablation grid")
-    p.add_argument("aligned_csv", help="aligned data for every ablation row")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seeds", default=None, help="comma-separated seed list override")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for the (row, seed) jobs that train")
-    p.set_defaults(func=cmd_ablate)
+    _add_grid_arguments(p, "aligned data for every ablation row")
+    p.set_defaults(grid="table5")
 
     return parser
+
+
+#: the code that `main` prints for an error that is not a LoadcastError; the
+#: first type that matches wins, so each subclass comes before its base
+_ERROR_CODES = (
+    (FileNotFoundError, "FileNotFound"),
+    (OSError, "OSError"),  # a directory where a file is read, an --out that exists, ...
+    (json.JSONDecodeError, "BadJson"),
+    (ValueError, "ValueError"),
+    (MemoryError, "MemoryError"),  # e.g. a series or network too large for any address space
+)
 
 
 def main(argv=None) -> int:
@@ -291,23 +296,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LoadcastError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error[FileNotFound]: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # a directory where a file is read, an --out that exists, ...
-        print(f"error[OSError]: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error[BadJson]: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error[ValueError]: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # e.g. a window or series too large for any address space
-        print(f"error[MemoryError]: {exc}", file=sys.stderr)
+    except (LoadcastError, *(t for t, _ in _ERROR_CODES)) as exc:
+        code = exc.code if isinstance(exc, LoadcastError) else next(
+            c for t, c in _ERROR_CODES if isinstance(exc, t))
+        print(f"error[{code}]: {exc}", file=sys.stderr)
         return 1
 
 

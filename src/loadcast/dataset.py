@@ -15,9 +15,10 @@ from .ingest import HOUR_DTYPE
 
 DEFAULT_FRACTIONS = (0.45, 0.45, 0.10)
 SPLITS = ("train", "val", "test")
-#: the longest look-ahead: one leap year of hours. A forecast allocates t2
-#: values a row, so this also bounds what a t2 read from a file can cost.
-MAX_T2 = 8784
+#: the longest look-back and look-ahead: one leap year of hours. Windows
+#: allocate t1 + t2 row indices before any is cut, and a forecast t2 values a
+#: row, so this also bounds what a window read from a file can cost.
+MAX_WINDOW_HOURS = 8784
 #: the fewest windows that a chronological train/val/test split accepts
 MIN_WINDOWS = 3
 
@@ -32,8 +33,9 @@ class WindowConfig:
     def __post_init__(self):
         if min(self.t1, self.t2) < 1:
             raise ValueError(f"t1 and t2 must be >= 1, got {self.t1!r}, {self.t2!r}")
-        if self.t2 > MAX_T2:
-            raise ValueError(f"t2 must be <= {MAX_T2} hours, got {self.t2!r}")
+        if max(self.t1, self.t2) > MAX_WINDOW_HOURS:
+            raise ValueError(f"t1 and t2 must be <= {MAX_WINDOW_HOURS} hours, "
+                             f"got {self.t1!r}, {self.t2!r}")
 
     @property
     def span(self) -> int:

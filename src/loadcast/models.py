@@ -271,13 +271,12 @@ def predict_batch(model: TrainedModel, raw_inputs: np.ndarray) -> np.ndarray:
     if model.spec.kind == "persistence":
         last = raw_inputs[:, -1, model.load_channel]
         return np.repeat(last[:, None], t2, axis=1)
-    if model.spec.kind == "svr":
-        x = model.normalizer.transform(raw_inputs).reshape(len(raw_inputs), math.prod(expected))
-        y_norm = x @ model.params["svr_w"].T + model.params["svr_b"]
-        return model.normalizer.inverse_transform_load(y_norm)
-    net = _network_for(model)
     x = model.normalizer.transform(raw_inputs)
-    y_norm = net.forward(x, training=False)
+    if model.spec.kind == "svr":
+        y_norm = (x.reshape(len(x), math.prod(expected)) @ model.params["svr_w"].T
+                  + model.params["svr_b"])
+    else:
+        y_norm = _network_for(model).forward(x, training=False)
     return model.normalizer.inverse_transform_load(y_norm)
 
 

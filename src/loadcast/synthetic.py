@@ -90,11 +90,12 @@ def generate_synthetic(years: float, seed: int, out_dir) -> tuple[Path, Path]:
     One year produces exactly 8760 load rows and 8 * 8760 weather rows.
     Identical seeds produce byte-identical files.
     """
-    if not 0 < years < math.inf:  # also false for NaN
+    hours = years * HOURS_PER_YEAR  # overflows to inf for years above ~2.05e304
+    if not 0 < hours < math.inf:  # also false for NaN
         raise InvalidConfig(f"years must be positive and finite, got {years}")
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
-    n_hours = round(years * HOURS_PER_YEAR)
+    n_hours = round(hours)
     stamps, loads, temp, wind_u, wind_v, lwrad, swrad = simulate(n_hours, seed)
 
     out_dir = Path(out_dir)

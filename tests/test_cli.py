@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from loadcast.cli import main, resolve_config
+from loadcast.cli import build_parser, main, resolve_config
 from loadcast.codec import from_json, to_json
 from loadcast.dataset import DEFAULT_FRACTIONS, WindowConfig
 from loadcast.features import FeatureSelector, all_features
@@ -58,6 +58,12 @@ class TestSynth:
         assert main(["synth", "--years", "inf", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error[InvalidConfig]: ")
 
+    def test_series_numpy_cannot_size_is_value_error(self, tmp_path, capsys):
+        # 8.8e303 hours: numpy refuses the arange at once, before any allocation
+        assert main(["synth", "--years", "1e300", "--out", str(tmp_path / "synth")]) == 1
+        assert capsys.readouterr().err.startswith("error[ValueError]: ")
+        assert not (tmp_path / "synth").exists()
+
 
 @pytest.mark.parametrize("command,code", [("synth", "InvalidConfig"), ("train", "InvalidSpec"),
                                           ("grid", "InvalidConfig")])
@@ -78,8 +84,8 @@ def test_impossible_allocation_is_memory_error(aligned_csv, tmp_path, capsys, co
     # each asks for over 128 PiB, more than a 64-bit address space holds, so
     # it fails at once; under 2**63 bytes, so numpy raises MemoryError
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({**train_config(aligned_csv, tmp_path / "out", kind="persistence"),
-                               "window": {"t1": 10**17}}))
+    cfg.write_text(json.dumps({**train_config(aligned_csv, tmp_path / "out"),
+                               "model": {"kind": "fcnn", "fcnn_hidden": [10**15]}}))
     argv = {"synth": ["synth", "--years", "1e13", "--out", str(tmp_path / "synth")],
             "train": ["train", "--config", str(cfg)]}[command]
     assert main(argv) == 1
@@ -210,6 +216,7 @@ class TestTrain:
         ("training", "lr_decay", -1, "InvalidSpec"),
         pytest.param("training", "base_lr", 10**400, "InvalidSpec",  # no float holds it
                      id="training-base_lr-10**400-InvalidSpec"),
+        ("window", "t1", 8785, "ConfigError"),
     ])
     def test_wrong_typed_field_rejected(self, tmp_path, capsys, section, key, value, code):
         cfg = train_config("/nonexistent/aligned.csv", tmp_path / "out")
@@ -428,6 +435,13 @@ class TestGrid:
         assert code == 0
         table = (tmp_path / "tables" / "table5.csv").read_text()
         assert len(table.strip().split("\n")) == 1 + 7
+
+    def test_ablate_parses_as_grid_table5(self):
+        parse = build_parser().parse_args
+        ablate = vars(parse(["ablate", "x.csv", "--seeds", "0"]))
+        grid = vars(parse(["grid", "table5", "x.csv", "--seeds", "0"]))
+        assert (ablate.pop("command"), grid.pop("command")) == ("ablate", "grid")
+        assert ablate == grid
 
     def test_rerun_resumes_without_retraining(self, aligned_csv, tmp_path,
                                               monkeypatch):

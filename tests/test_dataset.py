@@ -36,8 +36,11 @@ class TestWindowConfig:
         with pytest.raises(ValueError):
             WindowConfig(t2=0)
         assert WindowConfig(t2=8784).span == 8790  # one leap year of hours
+        assert WindowConfig(t1=8784).span == 8788
         with pytest.raises(ValueError):
             WindowConfig(t2=8785)
+        with pytest.raises(ValueError):
+            WindowConfig(t1=8785)
 
 
 class TestBuildWindows:

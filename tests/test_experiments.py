@@ -184,7 +184,7 @@ class TestGridConfig:
             dataclasses.replace(tiny_grid(), seeds=(3, 3))  # as `--seeds 3,3` does
 
     def test_bad_window_rejected(self):
-        for window in ({"t1": 0}, {"t1": 6, "t2": 8785}):
+        for window in ({"t1": 0}, {"t1": 6, "t2": 8785}, {"t1": 8785, "t2": 4}):
             doc = to_json(tiny_grid())
             doc["window"] = window
             with pytest.raises(InvalidConfig):

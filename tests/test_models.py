@@ -565,9 +565,10 @@ class TestSaveLoad:
         lambda header: {**header, "history": [[0, "1.0", 1.0]]},
         lambda header: b"[" * 100_000 + b"]" * 100_000,
         lambda header: {**header, "window": {"t1": 6, "t2": 10_000_000}},
+        lambda header: {**header, "window": {"t1": 10_000_000, "t2": 4}},
     ], ids=["load-channel-out-of-range", "load-channel-moved", "renamed-channels",
             "short-normalizer", "null-target", "zero-size", "float-window", "text-loss",
-            "nested-too-deep", "t2-beyond-a-year"])
+            "nested-too-deep", "t2-beyond-a-year", "t1-beyond-a-year"])
     def test_header_that_does_not_fit_rejected(self, tmp_path, change):
         header, sections = _artifact_parts("persistence")
         path = tmp_path / "model.lcst"

@@ -41,7 +41,7 @@ class TestGenerateSynthetic:
         assert r > 0.5
 
     def test_invalid_years(self, tmp_path):
-        for years in (0, -1, float("nan"), float("inf")):
+        for years in (0, -1, float("nan"), float("inf"), 1e305):  # 1e305 years overflow in hours
             with pytest.raises(InvalidConfig):
                 generate_synthetic(years, 1, tmp_path)
 
