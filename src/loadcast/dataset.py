@@ -44,18 +44,16 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class WindowedDataset:
-    """Every admissible stride-1 window, in chronological order, raw units,
-    plus a chronological train/val/test assignment.
+    """Every admissible stride-1 window, in chronological order, as its first
+    row in `matrix`, plus a chronological train/val/test assignment.
 
     `build_windows` leaves the assignment empty (n_train = n_val = 0);
     `chronological_split` fills it in.
     """
 
-    inputs: np.ndarray   # (n, t1, channels)
-    targets: np.ndarray  # (n, t2) load in MW
+    matrix: FeatureMatrix
+    starts: np.ndarray   # (n,) row of the matrix where each window begins
     origins: np.ndarray  # (n,) datetime64[h], first hour of each window
-    channel_names: tuple[str, ...]
-    load_channel: int
     cfg: WindowConfig
     n_train: int = 0
     n_val: int = 0
@@ -76,13 +74,19 @@ class WindowedDataset:
             return slice(self.n_train + self.n_val, len(self))
         raise ValueError(f"unknown split {split!r}; expected one of {SPLITS}")
 
-    def split_arrays(self, split: str) -> tuple[np.ndarray, np.ndarray]:
-        sl = self.split_slice(split)
-        return self.inputs[sl], self.targets[sl]
+    def rows(self, split: str) -> np.ndarray:
+        """(n, t1 + t2) matrix rows of the windows of a split."""
+        return self.starts[self.split_slice(split), None] + np.arange(self.cfg.span)
 
-    def split_origins(self, split: str) -> np.ndarray:
-        sl = self.split_slice(split)
-        return self.origins[sl]
+    def split_arrays(self, split: str) -> tuple[np.ndarray, np.ndarray]:
+        """Raw (n, t1, channels) inputs and (n, t2) load targets of a split."""
+        x_rows, y_rows = np.split(self.rows(split), [self.cfg.t1], axis=1)
+        return self.matrix.values[x_rows], self.matrix.values[y_rows, self.matrix.load_channel]
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """Raw (n, t1, channels) inputs of every window, gathered on each access."""
+        return self.matrix.values[self.starts[:, None] + np.arange(self.cfg.t1)]
 
 
 def window_starts(segments, span: int) -> np.ndarray:
@@ -105,14 +109,10 @@ def build_windows(matrix: FeatureMatrix, segments, stamps, cfg: WindowConfig) ->
     if matrix.load_channel is None:
         raise MissingLoadChannel("selector excluded load; targets are undefined")
     starts = window_starts(segments, cfg.span)
-    rows = starts[:, None] + np.arange(cfg.span)
-    inputs = matrix.values[rows[:, :cfg.t1]]
-    targets = matrix.values[rows[:, cfg.t1:], matrix.load_channel]
     origins = np.asarray(stamps, dtype=HOUR_DTYPE)[starts]
-    for array in (inputs, targets, origins):
+    for array in (starts, origins):
         array.setflags(write=False)
-    return WindowedDataset(inputs, targets, origins, matrix.channel_names,
-                           matrix.load_channel, cfg)
+    return WindowedDataset(matrix, starts, origins, cfg)
 
 
 def check_fractions(fractions) -> tuple[float, float, float]:

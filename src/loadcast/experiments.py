@@ -380,8 +380,8 @@ def run_grid(grid: ExperimentGrid, series: AlignedSeries, out_dir,
                 except BrokenProcessPool:  # a worker died: the pool lost every job still out
                     result = RowSeedResult(error=WORKER_LOST)
                 report.results[(row.name, seed)] = result
+                write_json(record, report.to_json_dict())  # a stopped grid keeps what finished
 
-    write_json(record, report.to_json_dict())
     tables = out_dir / "tables"
     try:
         text, csv_text = render_table(report, grid.style)

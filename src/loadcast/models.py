@@ -164,29 +164,29 @@ def _batches(n: int, batch_size: int, order=None):
         yield idx[start:start + batch_size]
 
 
-def _dataset_loss(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
-    """Mean loss in the float32 arithmetic of training, whatever x's dtype."""
-    x, y = x.astype(np.float32, copy=False), y.astype(np.float32, copy=False)
+def _dataset_loss(net: Network, x: np.ndarray, y: np.ndarray, rows: np.ndarray, t1: int,
+                  batch_size: int) -> float:
+    """Mean float32 training loss of the windows at `rows` of `x` and `y`."""
     chunk = max(batch_size, 1024)  # no backward pass; larger chunks are cheaper
     total = 0.0
-    for idx in _batches(len(x), chunk):
-        pred = net.forward(x[idx], training=False)
-        loss, _ = mse_loss(pred, y[idx])
+    for idx in _batches(len(rows), chunk):
+        pred = net.forward(x[rows[idx, :t1]], training=False)
+        loss, _ = mse_loss(pred, y[rows[idx, t1:]])
         total += loss * len(idx)
-    return total / len(x)
+    return total / len(rows)
 
 
 def _train_network(dataset: WindowedDataset, spec: ModelSpec, norm: Normalizer):
     if dataset.n_val == 0:  # an empty train split fails earlier, in Normalizer.fit
         raise EmptySplit("network training needs a non-empty val split")
-    xtr, ytr_raw = dataset.split_arrays("train")
-    xva, yva_raw = dataset.split_arrays("val")
-    xtr, ytr, xva, yva = (a.astype(np.float32) for a in (
-        norm.transform(xtr), norm.transform_target(ytr_raw),
-        norm.transform(xva), norm.transform_target(yva_raw)))
+    # per-element maps, so windows gathered after them equal the mapped windows
+    matrix, t1 = dataset.matrix, dataset.cfg.t1
+    x = norm.transform(matrix.values).astype(np.float32)
+    y = norm.transform_target(matrix.values[:, matrix.load_channel]).astype(np.float32)
+    train_rows, val_rows = dataset.rows("train"), dataset.rows("val")
 
     rng = np.random.default_rng(spec.seed)
-    net = build_model(spec, dataset.cfg.t1, len(dataset.channel_names), dataset.cfg.t2, rng)
+    net = build_model(spec, t1, len(matrix.channel_names), dataset.cfg.t2, rng)
     optimizer = Adam(base_lr=spec.base_lr, decay_rate=spec.lr_decay)
 
     history: list[tuple[int, float, float]] = []
@@ -194,19 +194,19 @@ def _train_network(dataset: WindowedDataset, spec: ModelSpec, norm: Normalizer):
     best_params = None  # epoch 0 sets it: a finite val loss is below inf
     wait = 0
     for epoch in range(spec.epochs):
-        order = rng.permutation(len(xtr))
+        order = rng.permutation(len(train_rows))
         total = 0.0
-        for idx in _batches(len(xtr), spec.batch_size, order):
-            pred = net.forward(xtr[idx], training=True, rng=rng)
-            loss, grad = mse_loss(pred, ytr[idx])
+        for idx in _batches(len(train_rows), spec.batch_size, order):
+            pred = net.forward(x[train_rows[idx, :t1]], training=True, rng=rng)
+            loss, grad = mse_loss(pred, y[train_rows[idx, t1:]])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"training loss became {loss} at epoch {epoch}")
             net.zero_grads()
             net.backward(grad)
             optimizer.step(net.named_params(), net.named_grads(), epoch)
             total += loss * len(idx)
-        train_loss = total / len(xtr)
-        val_loss = _dataset_loss(net, xva, yva, spec.batch_size)
+        train_loss = total / len(train_rows)
+        val_loss = _dataset_loss(net, x, y, val_rows, t1, spec.batch_size)
         if not np.isfinite(val_loss):
             raise NonFiniteLoss(f"validation loss became {val_loss} at epoch {epoch}")
         history.append((epoch, train_loss, val_loss))
@@ -250,8 +250,8 @@ def train(dataset: WindowedDataset, spec: ModelSpec, selector: FeatureSelector) 
         params = _train_svr(dataset, spec, norm)
     else:
         params, history = _train_network(dataset, spec, norm)
-    return TrainedModel(spec, selector, dataset.cfg, norm, dataset.channel_names,
-                        dataset.load_channel, params, history)
+    return TrainedModel(spec, selector, dataset.cfg, norm, dataset.matrix.channel_names,
+                        dataset.matrix.load_channel, params, history)
 
 
 def _network_for(model: TrainedModel) -> Network:

@@ -1,4 +1,4 @@
-"""Shared test helpers: tiny series builders and the finite-difference
+"""Shared test helpers: tiny series and window builders and the finite-difference
 gradient checker used by the layer tests and the acceptance suite, and a
 Hypothesis strategy that mutates JSON documents."""
 
@@ -9,6 +9,8 @@ import copy
 import numpy as np
 from hypothesis import strategies as st
 
+from loadcast.dataset import WindowConfig, WindowedDataset
+from loadcast.features import FeatureMatrix
 from loadcast.ingest import AlignedSeries
 from loadcast.neural import Network, mse_loss
 
@@ -33,6 +35,29 @@ def toy_series(n_hours: int, seed: int = 0, missing: tuple[int, ...] = ()) -> Al
     weather[:, :, 3] = np.maximum(0.0, 400.0 * np.sin(2 * np.pi * t / 24.0))[:, None] \
         + np.abs(rng.normal(0, 5.0, (len(t), 8)))
     return AlignedSeries(stamps, load, weather)
+
+
+def hand_built_windows(inputs, targets, names, n_train, n_val) -> WindowedDataset:
+    """Windows with exactly these raw (n, t1, channels) `inputs` and (n, t2)
+    `targets`, channel 0 being load.
+
+    Window i's t1 input rows, then t2 rows whose load channel holds its
+    targets, lie end to end in one feature matrix. The other channels of the
+    target rows are NaN, as no window reads them; window i starts at row
+    i * (t1 + t2), an hour after BASE per row.
+    """
+    inputs, targets = np.asarray(inputs, dtype=np.float64), np.asarray(targets, dtype=np.float64)
+    (n, t1, channels), t2 = inputs.shape, targets.shape[1]
+    values = np.full((n, t1 + t2, channels), np.nan)
+    values[:, :t1] = inputs
+    values[:, t1:, 0] = targets
+    values = values.reshape(n * (t1 + t2), channels)
+    starts = np.arange(n) * (t1 + t2)
+    origins = BASE + starts
+    for array in (values, starts, origins):
+        array.setflags(write=False)
+    return WindowedDataset(FeatureMatrix(values, tuple(names), 0), starts, origins,
+                           WindowConfig(t1, t2), n_train, n_val)
 
 
 def max_grad_error(net: Network, x: np.ndarray, target: np.ndarray,

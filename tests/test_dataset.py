@@ -65,9 +65,12 @@ class TestBuildWindows:
 
     def test_targets_are_raw_load_of_last_hours(self):
         series, raw = windows_for(12)
-        assert raw.targets.shape == (3, 4)
-        assert np.array_equal(raw.targets[0], series.load_mw[6:10])
-        assert np.array_equal(raw.inputs[0, :, 0], series.load_mw[0:6])
+        raw = chronological_split(raw)  # one window per split
+        for split, first in zip(("train", "val", "test"), range(3)):
+            inputs, targets = raw.split_arrays(split)
+            assert targets.shape == (1, 4)
+            assert np.array_equal(targets[0], series.load_mw[first + 6:first + 10])
+            assert np.array_equal(inputs[0, :, 0], series.load_mw[first:first + 6])
 
     def test_window_counts_match_brute_force_sweep(self):
         for t1 in range(1, 9):
@@ -105,24 +108,35 @@ class TestBuildWindows:
             series = toy_series(n, seed=1, missing=missing)
             matrix = assemble(series, FeatureSelector(weather_features=("temp", "wind")))
             raw = build_windows(matrix, series.segments, series.stamps, WindowConfig(t1, t2))
+            assert raw.matrix is matrix
+            if len(raw) >= 3:
+                raw = chronological_split(raw)
             load = matrix.values[:, matrix.load_channel]
-            for i, origin in enumerate(raw.origins):
-                r = int(np.searchsorted(series.stamps, origin))
-                assert series.stamps[r] == origin
-                assert np.array_equal(raw.inputs[i], matrix.values[r:r + t1])
-                assert np.array_equal(raw.targets[i], load[r + t1:r + t1 + t2])
-            for array in (raw.inputs, raw.targets, raw.origins):
+            for split in ("train", "val", "test"):
+                inputs, targets = raw.split_arrays(split)
+                origins = raw.origins[raw.split_slice(split)]
+                assert len(inputs) == len(targets) == len(origins)
+                for i, origin in enumerate(origins):
+                    r = int(np.searchsorted(series.stamps, origin))
+                    assert series.stamps[r] == origin
+                    assert np.array_equal(inputs[i], matrix.values[r:r + t1])
+                    assert np.array_equal(targets[i], load[r + t1:r + t1 + t2])
+            for array in (raw.starts, raw.origins):
                 assert not array.flags.writeable
                 assert array.flags.c_contiguous
 
     def test_no_windows(self):
-        _, raw = windows_for(9, t1=6, t2=4)
-        channels = len(raw.channel_names)
-        assert (raw.inputs.shape, raw.targets.shape, raw.origins.shape) == (
-            (0, 6, channels), (0, 4), (0,))
-        assert (raw.inputs.dtype, raw.targets.dtype, raw.origins.dtype) == (
+        series = toy_series(9, seed=1)
+        matrix = assemble(series, FeatureSelector())
+        raw = build_windows(matrix, series.segments, series.stamps, WindowConfig(t1=6, t2=4))
+        assert raw.matrix is matrix
+        inputs, targets = raw.split_arrays("test")
+        channels = len(matrix.channel_names)
+        assert (inputs.shape, targets.shape, raw.starts.shape, raw.origins.shape) == (
+            (0, 6, channels), (0, 4), (0,), (0,))
+        assert (inputs.dtype, targets.dtype, raw.origins.dtype) == (
             np.float64, np.float64, np.dtype("datetime64[h]"))
-        for array in (raw.inputs, raw.targets, raw.origins):
+        for array in (raw.starts, raw.origins):
             assert not array.flags.writeable
 
     def test_missing_load_channel(self):
@@ -163,9 +177,9 @@ class TestChronologicalSplit:
     def test_chronology_invariant(self):
         _, raw = windows_for(80, missing=(31, 32, 33))
         ds = chronological_split(raw)
-        train = ds.split_origins("train")
-        val = ds.split_origins("val")
-        test = ds.split_origins("test")
+        train = ds.origins[ds.split_slice("train")]
+        val = ds.origins[ds.split_slice("val")]
+        test = ds.origins[ds.split_slice("test")]
         assert max(train) < min(val) <= max(val) < min(test)
 
     def test_counts_within_two_of_exact_fractions(self):

@@ -364,7 +364,7 @@ class TestRunGrid:
             matrix = assemble(series, row.features)
             raw = build_windows(matrix, series.segments, series.stamps, grid.window)
             ds = chronological_split(raw, grid.split)
-            origins.append(ds.split_origins("test"))
+            origins.append(ds.origins[ds.split_slice("test")])
         assert np.array_equal(origins[0], origins[1])
 
     def test_dataset_too_small(self, tmp_path):
@@ -389,6 +389,10 @@ class TestRunGrid:
             patch.setattr(experiments, "save_model", save_until_stopped)
             with pytest.raises(KeyboardInterrupt):
                 run_grid(tiny_grid(), series, tmp_path / "cut")
+        doc = json.loads((tmp_path / "cut" / "grid.json").read_text())
+        jobs = [(row.name, str(seed)) for row in tiny_grid().rows for seed in tiny_grid().seeds]
+        listed = [(name, seed) for name, row in doc["rows"].items() for seed in row["per_seed"]]
+        assert listed == jobs[:k - 1]  # the record lists exactly the jobs that finished
         run_grid(tiny_grid(), series, tmp_path / "cut")
         assert _files(tmp_path / "cut") == _files(tmp_path / "whole")
 

@@ -13,12 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from loadcast.artifact import read_artifact, write_artifact
 from loadcast.codec import from_json, to_json
-from loadcast.dataset import (
-    WindowConfig,
-    WindowedDataset,
-    build_windows,
-    chronological_split,
-)
+from loadcast.dataset import WindowConfig, build_windows, chronological_split
 from loadcast.errors import (
     CorruptArtifact,
     EmptySplit,
@@ -44,7 +39,7 @@ from loadcast.models import (
 )
 from loadcast.neural import LSTM, Conv1D, Dense
 
-from _util import BASE, mutated, toy_series
+from _util import BASE, hand_built_windows, mutated, toy_series
 
 
 def small_dataset(n_hours=120, selector=None, seed=1, missing=()):
@@ -60,10 +55,8 @@ def synthetic_linear_dataset(n=240, channels=3, t1=6, t2=4, seed=0):
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(30000.0, 50000.0, size=(n, t1, channels))
     targets = np.repeat(2.0 * inputs[:, -1, 0:1] + 5000.0, t2, axis=1)
-    origins = BASE + np.arange(n)
     names = tuple(f"c{i}" for i in range(channels))
-    return WindowedDataset(inputs, targets, origins, names, 0, WindowConfig(t1, t2),
-                           int(0.45 * n), int(0.45 * n))
+    return hand_built_windows(inputs, targets, names, int(0.45 * n), int(0.45 * n))
 
 
 class TestModelSpec:
@@ -157,9 +150,7 @@ class TestTraining:
         n = 60
         inputs = rng.uniform(30000, 50000, size=(n, 6, 2))
         targets = rng.uniform(30000, 50000, size=(n, 4))
-        origins = BASE + np.arange(n)
-        ds = WindowedDataset(inputs, targets, origins, ("load", "x"), 0,
-                             WindowConfig(), 27, 27)
+        ds = hand_built_windows(inputs, targets, ("load", "x"), 27, 27)
         spec = ModelSpec(kind="fcnn", fcnn_hidden=(64,), epochs=200, batch_size=32,
                          patience=0, base_lr=0.02, seed=2)
         model = train(ds, spec, FeatureSelector())
@@ -180,9 +171,7 @@ class TestTraining:
         n = 24  # tiny fixed dataset, full-batch updates
         inputs = rng.uniform(30000, 50000, size=(n, 6, 2))
         targets = np.repeat(1.5 * inputs[:, -1, 0:1] - 2000.0, 4, axis=1)
-        origins = BASE + np.arange(n)
-        ds = WindowedDataset(inputs, targets, origins, ("load", "x"), 0,
-                             WindowConfig(), 10, 10)
+        ds = hand_built_windows(inputs, targets, ("load", "x"), 10, 10)
         spec = ModelSpec(kind=kind, epochs=250, batch_size=64, patience=10**9,
                          base_lr=1e-3, seed=0, **extra)
         model = train(ds, spec, FeatureSelector())
@@ -190,6 +179,20 @@ class TestTraining:
         assert len(losses) >= 200
         moving = np.convolve(losses, np.ones(10) / 10, mode="valid")
         assert np.all(np.diff(moving) <= 1e-12)
+
+    def test_long_look_back_holds_no_window_tensor(self):
+        series, cfg = toy_series(2000), WindowConfig(t1=168)
+        matrix = assemble(series, all_features())
+        spec = ModelSpec(kind="lstm", lstm_hidden=4, lstm_layers=1, epochs=1)
+        tracemalloc.start()
+        try:
+            raw = build_windows(matrix, series.segments, series.stamps, cfg)
+            train(chronological_split(raw), spec, all_features())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every window gathered at once, in float64: 88.5 MB here
+        assert peak < len(raw) * cfg.t1 * len(matrix.channel_names) * 8
 
     def test_identical_seeds_identical_parameters(self):
         _, ds = small_dataset(100)
@@ -210,10 +213,11 @@ class TestTraining:
         best_recorded = min(v for _, _, v in model.history)
         # recompute validation loss from the restored parameters
         from loadcast.models import _dataset_loss, _network_for
-        norm = model.normalizer
-        xva, yva = ds.split_arrays("val")
-        val = _dataset_loss(_network_for(model), norm.transform(xva),
-                            norm.transform_target(yva), spec.batch_size)
+        norm, values = model.normalizer, ds.matrix.values
+        x = norm.transform(values).astype(np.float32)
+        y = norm.transform_target(values[:, ds.matrix.load_channel]).astype(np.float32)
+        val = _dataset_loss(_network_for(model), x, y, ds.rows("val"), ds.cfg.t1,
+                            spec.batch_size)
         assert val == best_recorded
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
