@@ -9,7 +9,6 @@ Non-string dict keys are written as their `repr` (``"1.0"``).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import json
@@ -132,13 +131,14 @@ def write_text(path, text: str) -> None:
 def write_csv(path, header, rows) -> None:
     """Replace `path` atomically with a UTF-8 CSV of `header`, then `rows`.
 
-    The csv module writes a float as its repr, the shortest text that parses
-    back to the same float, so pass Python floats (`ndarray.tolist()`).
+    Fields are `str`, `int` or Python `float` (`ndarray.tolist()`), each written
+    as `%s` (a float as its repr, the shortest text that parses back to it) in
+    csv.writer's default dialect. Text is never quoted: no comma, quote or newline.
     """
+    line = ",".join(["%s"] * len(header)) + "\r\n"
     with replace_atomically(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(line % tuple(header))
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def write_json(path, doc) -> None:

@@ -27,16 +27,17 @@ ZONE_TEMP_OFFSET = np.linspace(-4.0, 4.0, 8)
 ZONE_WEIGHT = np.array([0.24, 0.16, 0.14, 0.12, 0.11, 0.09, 0.08, 0.06])
 COMFORT_K = 291.0
 BASE_LOAD_MW = 40000.0
+# weekday/weekend level with transitions smoothed over +-3 hours
+_WEEK_STEP = np.where(np.arange(168) // 24 >= 5, -2500.0, 1500.0)
+WEEK_PROFILE = np.array([_WEEK_STEP[(idx + np.arange(-3, 4)) % 168].mean() for idx in range(168)])
 
 
-def _ar1(rng: np.random.Generator, n: int, phi: float, sigma: float,
-         series: int = 1) -> np.ndarray:
-    shocks = rng.normal(0.0, sigma, size=(n, series))
-    out = np.empty((n, series))
-    state = np.zeros(series)
-    for t in range(n):
-        state = phi * state + shocks[t]
-        out[t] = state
+def _ar1(shocks: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """AR(1) paths from zero, one per column of `shocks`, column j with phi[j]."""
+    out = np.empty_like(shocks)
+    state = np.zeros(shocks.shape[1])
+    for t, shock in enumerate(shocks):
+        out[t] = state = phi * state + shock
     return out
 
 
@@ -48,6 +49,13 @@ def simulate(n_hours: int, seed: int):
     if n_hours < 1:
         raise InvalidConfig(f"n_hours must be >= 1, got {n_hours}")
     rng = np.random.default_rng(seed)
+    # drawn in this order and these shapes, which fix every seed's output
+    temp_shocks, sw_noise, lw_noise, u_shocks, v_shocks, load_shocks = (
+        rng.normal(0.0, sigma, (n_hours, width))
+        for sigma, width in ((0.6, 8), (15.0, 8), (10.0, 8), (0.5, 8), (0.5, 8), (250.0, 1)))
+    temp_ar, u_ar, v_ar, load_ar = np.split(_ar1(
+        np.hstack([temp_shocks, u_shocks, v_shocks, load_shocks]),
+        np.repeat([0.95, 0.97, 0.97, 0.85], [8, 8, 8, 1])), [8, 16, 24], axis=1)
     h = np.arange(n_hours)
     hod = h % 24
     seasonal = -np.cos(2.0 * math.pi * h / HOURS_PER_YEAR)      # -1 in winter
@@ -56,29 +64,21 @@ def simulate(n_hours: int, seed: int):
     temp = (287.0 + ZONE_TEMP_OFFSET[None, :]
             + 12.0 * seasonal[:, None]
             + 5.0 * diurnal_temp[:, None]
-            + _ar1(rng, n_hours, 0.95, 0.6, 8))
+            + temp_ar)
 
     daylight = np.maximum(0.0, np.cos(2.0 * math.pi * (hod - 13) / 24.0))
     sw_scale = 600.0 + 250.0 * seasonal
-    swrad = np.maximum(
-        0.0, sw_scale[:, None] * daylight[:, None] + rng.normal(0.0, 15.0, (n_hours, 8)))
+    swrad = np.maximum(0.0, sw_scale[:, None] * daylight[:, None] + sw_noise)
 
-    lwrad = np.maximum(0.0, 3.5 * (temp - 190.0) + rng.normal(0.0, 10.0, (n_hours, 8)))
+    lwrad = np.maximum(0.0, 3.5 * (temp - 190.0) + lw_noise)
 
-    wind_u = 2.0 + _ar1(rng, n_hours, 0.97, 0.5, 8)
-    wind_v = 1.0 + _ar1(rng, n_hours, 0.97, 0.5, 8)
+    wind_u, wind_v = 2.0 + u_ar, 1.0 + v_ar
 
     weighted_temp = temp @ ZONE_WEIGHT
-    # weekday/weekend level with transitions smoothed over +-3 hours
-    week_step = np.where(np.arange(168) // 24 >= 5, -2500.0, 1500.0)
-    offsets = np.arange(-3, 4)
-    week_profile = np.array(
-        [week_step[(idx + offsets) % 168].mean() for idx in range(168)])
-    weekly = week_profile[h % 168]
+    weekly = WEEK_PROFILE[h % 168]
     diurnal_load = 4500.0 * np.cos(2.0 * math.pi * (hod - 17) / 24.0)
     comfort_gap = np.abs(weighted_temp - COMFORT_K)
-    noise = _ar1(rng, n_hours, 0.85, 250.0, 1)[:, 0]
-    loads = BASE_LOAD_MW + weekly + diurnal_load + 900.0 * comfort_gap + noise
+    loads = BASE_LOAD_MW + weekly + diurnal_load + 900.0 * comfort_gap + load_ar[:, 0]
 
     stamps = START + h
     return stamps, loads, temp, wind_u, wind_v, lwrad, swrad
@@ -91,8 +91,8 @@ def generate_synthetic(years: float, seed: int, out_dir) -> tuple[Path, Path]:
     Identical seeds produce byte-identical files.
     """
     hours = years * HOURS_PER_YEAR  # overflows to inf for years above ~2.05e304
-    if not 0 < hours < math.inf:  # also false for NaN
-        raise InvalidConfig(f"years must be positive and finite, got {years}")
+    if not 0.5 < hours < math.inf:  # round(hours) >= 1; also false for NaN
+        raise InvalidConfig(f"years must be finite and over half an hour, got {years}")
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
     n_hours = round(hours)

@@ -1,11 +1,14 @@
 import csv
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from loadcast import ingest
+from loadcast.codec import write_csv
 from loadcast.errors import (
     DuplicateTimestamp,
     DuplicateZoneHour,
@@ -293,34 +296,61 @@ class TestAlignedCsvRoundTrip:
             read_aligned_csv(path)
 
     def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
-        import csv
-
         path = tmp_path / "aligned.csv"
         write_aligned_csv(toy_series(24, seed=1), path)
         before = path.read_bytes()
-        real_writer = csv.writer
+        real_write_csv = ingest.write_csv
 
-        class InterruptedWriter:
-            """Writes the header and nine data rows, then is interrupted."""
+        def interrupted_write_csv(path, header, rows):
+            """Streams rows until data rows have reached the temporary file,
+            then is interrupted."""
+            header_bytes = len(",".join(header)) + 2
 
-            def __init__(self, fh):
-                self.inner, self.rows = real_writer(fh), 0
-
-            def writerow(self, row):
-                if self.rows == 10:
-                    raise KeyboardInterrupt
-                self.rows += 1
-                self.inner.writerow(row)
-
-            def writerows(self, rows):
+            def rows_then_interrupt():
                 for row in rows:
-                    self.writerow(row)
+                    if any(tmp.stat().st_size > header_bytes for tmp in tmp_path.glob("*.tmp")):
+                        raise KeyboardInterrupt
+                    yield row
+            real_write_csv(path, header, rows_then_interrupt())
 
-        monkeypatch.setattr(csv, "writer", InterruptedWriter)
+        monkeypatch.setattr(ingest, "write_csv", interrupted_write_csv)
         with pytest.raises(KeyboardInterrupt):
             write_aligned_csv(toy_series(72, seed=2), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["aligned.csv"]
+
+
+_EDGE_FLOATS = (-0.0, 5e-324, math.inf, -math.inf, math.nan, 1e16, 1.7976931348623157e308)
+_CSV_FIELDS = st.one_of(
+    st.integers(-24 * 365 * 1969, 24 * 365 * 8000).map(
+        lambda h: format_hour(np.datetime64(h, "h"))),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+)
+
+
+def _csv_table(width):
+    row = st.lists(_CSV_FIELDS, min_size=width, max_size=width)
+    return st.tuples(st.just(width), st.lists(st.one_of(row, row.map(tuple)), max_size=20))
+
+
+class TestWriteCsvDialect:
+    """write_csv writes the bytes of the csv module's default dialect."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=st.integers(1, 8).flatmap(_csv_table))
+    @example(table=(9, [["2015-01-01T00:00:00", 0, *_EDGE_FLOATS],
+                        ("2016-02-29T23:00:00", -1, *_EDGE_FLOATS[::-1])]))
+    def test_bytes_equal_csv_writer(self, tmp_path, table):
+        width, rows = table
+        header = [f"col{i}" for i in range(width)]
+        path = tmp_path / "table.csv"
+        write_csv(path, header, rows)
+        reference = io.StringIO(newline="")
+        csv.writer(reference).writerows([header, *rows])
+        assert path.read_bytes() == reference.getvalue().encode("utf-8")
 
 
 # --- golden pin: outputs that must not move when the timeline changes form ----

@@ -44,6 +44,10 @@ class TestGenerateSynthetic:
         for years in (0, -1, float("nan"), float("inf"), 1e305):  # 1e305 years overflow in hours
             with pytest.raises(InvalidConfig):
                 generate_synthetic(years, 1, tmp_path)
+        for years in (0.00001, 0.5 / 8760):  # both round to zero hours
+            with pytest.raises(InvalidConfig, match=rf"^years must .* half an hour, got {years}$"):
+                generate_synthetic(years, 1, tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_negative_seed(self, tmp_path):
         with pytest.raises(InvalidConfig, match="seed"):
