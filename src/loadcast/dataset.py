@@ -115,6 +115,15 @@ def build_windows(matrix: FeatureMatrix, segments, stamps, cfg: WindowConfig) ->
     return WindowedDataset(matrix, starts, origins, cfg)
 
 
+def _covered(starts: np.ndarray, begin: int, end: int, n_rows: int) -> np.ndarray:
+    """Mask of the n_rows rows r with s + begin <= r < s + end for some
+    distinct start s."""
+    edges = np.zeros(n_rows + 1, np.intp)
+    edges[starts + begin] += 1
+    edges[starts + end] -= 1
+    return np.cumsum(edges[:-1]) > 0
+
+
 def check_fractions(fractions) -> tuple[float, float, float]:
     """Validate (train, val, test) fractions: 3 positive numbers summing to 1."""
     if not (isinstance(fractions, (list, tuple)) and len(fractions) == 3 and all(
@@ -159,10 +168,14 @@ class Normalizer:
     def fit(cls, dataset: WindowedDataset) -> "Normalizer":
         if dataset.n_train == 0:
             raise EmptyTrainSplit("cannot fit a normalizer on an empty train split")
-        x, y = dataset.split_arrays("train")
-        cmin = x.min(axis=(0, 1))
-        cmax = x.max(axis=(0, 1))
-        return cls(cmin, cmax, float(y.min()), float(y.max()))
+        # min and max are exact, so the rows the train windows cover give the
+        # range of the gathered windows without t1 copies of each row
+        values, t1 = dataset.matrix.values, dataset.cfg.t1
+        starts = dataset.starts[:dataset.n_train]
+        x = values[_covered(starts, 0, t1, len(values))]
+        y = values[_covered(starts, t1, dataset.cfg.span, len(values)),
+                   dataset.matrix.load_channel]
+        return cls(x.min(axis=0), x.max(axis=0), float(y.min()), float(y.max()))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         """Map (..., channels) raw values to the unit scale per channel."""

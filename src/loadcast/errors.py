@@ -93,6 +93,10 @@ class NonFiniteValue(LoadcastError):
     """NaN or Inf produced in a forward or backward pass, or given to a linear solver."""
 
 
+class PredictOnly(LoadcastError):
+    """Backward on a layer without gradient buffers, whose forward keeps no cache."""
+
+
 # --- models ---------------------------------------------------------------
 
 class EmptyWindow(LoadcastError):

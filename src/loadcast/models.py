@@ -186,7 +186,12 @@ def _train_network(dataset: WindowedDataset, spec: ModelSpec, norm: Normalizer):
     train_rows, val_rows = dataset.rows("train"), dataset.rows("val")
 
     rng = np.random.default_rng(spec.seed)
-    net = build_model(spec, t1, len(matrix.channel_names), dataset.cfg.t2, rng)
+    shape = (t1, len(matrix.channel_names), dataset.cfg.t2)
+    net = build_model(spec, *shape, rng)
+    # the same parameter arrays, which Adam updates in place, without gradient
+    # buffers: its forward keeps no cache for a backward the val pass never runs
+    view = build_model(spec, *shape)
+    view.set_params(net.named_params())
     optimizer = Adam(base_lr=spec.base_lr, decay_rate=spec.lr_decay)
 
     history: list[tuple[int, float, float]] = []
@@ -206,7 +211,7 @@ def _train_network(dataset: WindowedDataset, spec: ModelSpec, norm: Normalizer):
             optimizer.step(net.named_params(), net.named_grads(), epoch)
             total += loss * len(idx)
         train_loss = total / len(train_rows)
-        val_loss = _dataset_loss(net, x, y, val_rows, t1, spec.batch_size)
+        val_loss = _dataset_loss(view, x, y, val_rows, t1, spec.batch_size)
         if not np.isfinite(val_loss):
             raise NonFiniteLoss(f"validation loss became {val_loss} at epoch {epoch}")
         history.append((epoch, train_loss, val_loss))

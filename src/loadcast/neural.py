@@ -18,7 +18,11 @@ naming the offending layer.
 A layer's constructor declares its parameter shapes and draws values only
 from an rng it is given; without one, `Network.set_params` supplies them.
 Gradient buffers are created by the first `zero_grads` (an rng-built layer
-runs it at once), so a network built only to predict holds none.
+runs it at once), so a network built only to predict holds none. A layer
+keeps what its backward reads (Dense `_x`/`_z`, Conv1D `_cols`/`_z`, the
+LSTM's per-step `_cache`) only when it has gradient buffers: a predict-only
+forward holds one LSTM step of gates, and backward on such a layer raises
+PredictOnly.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidRate, KernelTooLarge, NonFiniteValue, ShapeMismatch
+from .errors import InvalidRate, KernelTooLarge, NonFiniteValue, PredictOnly, ShapeMismatch
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -71,6 +75,13 @@ class Layer:
         for g in self.grads.values():
             g[...] = 0.0
 
+    def _require_grads(self) -> None:
+        """Backward reads what forward kept, which only a layer with gradient
+        buffers keeps."""
+        if not self.grads:
+            raise PredictOnly(f"layer {self.name}: no gradient buffers, so forward kept "
+                              "no cache for backward; call zero_grads before forward")
+
     def _finite(self, arr: np.ndarray, stage: str) -> np.ndarray:
         if not np.isfinite(arr).all():
             raise NonFiniteValue(f"layer {self.name}: non-finite values in {stage}")
@@ -97,11 +108,13 @@ class Dense(Layer):
                 f"layer {self.name}: expected (batch, {self.in_dim}), got {x.shape}")
         w, b = self._params_as(x.dtype, "W", "b")
         z = x @ w + b
-        self._x, self._z = x, z
+        if self.grads:
+            self._x, self._z = x, z
         y = np.maximum(z, 0.0) if self.activation == "relu" else z
         return self._finite(y, "forward")
 
     def backward(self, grad_out):
+        self._require_grads()
         if grad_out.shape != self._z.shape:
             raise ShapeMismatch(
                 f"layer {self.name}: gradient shape {grad_out.shape} != {self._z.shape}")
@@ -144,10 +157,12 @@ class Conv1D(Layer):
         w, b = self._params_as(x.dtype, "W", "b")
         w = w.reshape(self.kernel * self.in_chan, self.filters)
         z = (cols @ w).reshape(batch, t_out, self.filters) + b
-        self._cols, self._z, self._x_shape = cols, z, x.shape
+        if self.grads:
+            self._cols, self._z, self._x_shape = cols, z, x.shape
         return self._finite(np.maximum(z, 0.0), "forward")
 
     def backward(self, grad_out):
+        self._require_grads()
         if grad_out.shape != self._z.shape:
             raise ShapeMismatch(
                 f"layer {self.name}: gradient shape {grad_out.shape} != {self._z.shape}")
@@ -177,8 +192,9 @@ class LSTM(Layer):
     batched matmul over all timesteps; only the recurrence is sequential.
     Each state is stored once: row t+1 of `hs`/`cs` (steps + 1, batch, H)
     holds h_t/c_t, row 0 the zero initial state, and backward reads the same
-    rows. Backward runs full backpropagation through time. Returns the whole
-    h sequence.
+    rows. A layer without gradient buffers keeps no cache: its forward holds
+    `hs` and one step of gates, tanh(c) and c. Backward runs full
+    backpropagation through time. Returns the whole h sequence.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None):
@@ -193,19 +209,25 @@ class LSTM(Layer):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeMismatch(
                 f"layer {self.name}: expected (batch, time, {self.in_dim}), got {x.shape}")
+        self._cache = None
         batch, steps, _ = x.shape
         hid = self.hidden
         dtype = x.dtype
         w, u, b = self._params_as(dtype, "W", "U", "b")
         xw = x.reshape(batch * steps, self.in_dim) @ w
         xw = xw.reshape(batch, steps, 4 * hid)
-        # time-major caches keep the per-step slices contiguous
+        # time-major, so the per-step slices are contiguous. Backward reads
+        # every step's gates, tanh(c_t) and c_{t-1}; a layer that keeps no
+        # cache reuses one row of each, updating c in place
+        keep = 1 if self.grads else 0
+        rows = steps if keep else 1
         hs = np.zeros((steps + 1, batch, hid), dtype)
-        cs = np.zeros((steps + 1, batch, hid), dtype)
-        gates = np.empty((steps, batch, 4 * hid), dtype)  # i, f, o sigmoids; g tanh
-        cells = np.empty((steps, batch, hid), dtype)      # tanh(c_t)
+        cs = np.zeros((rows + keep, batch, hid), dtype)
+        gates = np.empty((rows, batch, 4 * hid), dtype)  # i, f, o sigmoids; g tanh
+        cells = np.empty((rows, batch, hid), dtype)      # tanh(c_t)
         for t in range(steps):
-            a = gates[t]
+            r = t if keep else 0
+            a = gates[r]
             np.dot(hs[t], u, out=a)
             a += xw[:, t]
             a += b
@@ -218,15 +240,18 @@ class LSTM(Layer):
             f = a[:, hid:2 * hid]
             o = a[:, 2 * hid:3 * hid]
             g = a[:, 3 * hid:]
-            np.multiply(f, cs[t], out=cs[t + 1])
-            cs[t + 1] += i * g
-            tc = np.tanh(cs[t + 1], out=cells[t])
+            c = cs[r + keep]
+            np.multiply(f, cs[r], out=c)
+            c += i * g
+            tc = np.tanh(c, out=cells[r])
             np.multiply(o, tc, out=hs[t + 1])
-        self._cache = (x, gates, cells, hs, cs)
+        if keep:
+            self._cache = (x, gates, cells, hs, cs)
         result = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
         return self._finite(result, "forward")
 
     def backward(self, grad_out):
+        self._require_grads()
         x, gates, cells, hs, cs = self._cache
         batch, steps, _ = x.shape
         hid = self.hidden

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,12 +199,33 @@ class TestNormalizer:
         return chronological_split(raw)
 
     def test_fit_min_max(self):
-        ds = self._dataset()
-        norm = Normalizer.fit(ds)
-        x, y = ds.split_arrays("train")
-        assert np.array_equal(norm.channel_min, x.min(axis=(0, 1)))
-        assert np.array_equal(norm.channel_max, x.max(axis=(0, 1)))
-        assert norm.target_min == y.min() and norm.target_max == y.max()
+        # the gathered train windows are the reference; across gaps some rows
+        # lie in no window
+        rng = np.random.default_rng(12)
+        datasets = [self._dataset()]
+        for _ in range(30):
+            missing = tuple(np.flatnonzero(rng.random(90) < 0.15))
+            _, raw = windows_for(90, missing, int(rng.integers(1, 9)), int(rng.integers(1, 7)))
+            if len(raw) >= 3:
+                datasets.append(chronological_split(raw))
+        for ds in datasets:
+            norm = Normalizer.fit(ds)
+            x, y = ds.split_arrays("train")
+            assert np.array_equal(norm.channel_min, x.min(axis=(0, 1)))
+            assert np.array_equal(norm.channel_max, x.max(axis=(0, 1)))
+            assert norm.target_min == y.min() and norm.target_max == y.max()
+
+    def test_long_look_back_fit_gathers_no_windows(self):
+        _, raw = windows_for(1000, t1=168)
+        ds = chronological_split(raw)
+        tracemalloc.start()
+        try:
+            Normalizer.fit(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gathered = ds.n_train * 168 * len(ds.matrix.channel_names) * 8
+        assert peak < gathered
 
     def test_transform_midpoint(self):
         norm = Normalizer(np.array([0.0]), np.array([100.0]), 0.0, 100.0)

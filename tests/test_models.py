@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from loadcast.artifact import read_artifact, write_artifact
 from loadcast.codec import from_json, to_json
-from loadcast.dataset import WindowConfig, build_windows, chronological_split
+from loadcast.dataset import Normalizer, WindowConfig, build_windows, chronological_split
 from loadcast.errors import (
     CorruptArtifact,
     EmptySplit,
@@ -29,6 +29,7 @@ from loadcast.errors import (
 from loadcast.features import FeatureSelector, all_features, assemble
 from loadcast.models import (
     ModelSpec,
+    TrainedModel,
     build_model,
     load,
     persistence_predict,
@@ -37,7 +38,7 @@ from loadcast.models import (
     save,
     train,
 )
-from loadcast.neural import LSTM, Conv1D, Dense
+from loadcast.neural import LSTM, Conv1D, Dense, Network
 
 from _util import BASE, hand_built_windows, mutated, toy_series
 
@@ -133,6 +134,67 @@ class TestBuildModel:
     def test_kernel_larger_than_window_rejected(self):
         with pytest.raises(InvalidSpec):
             build_model(ModelSpec(kind="lrcn", conv_kernel=7), 6, 9, 4)
+
+
+def _predict_only_view(net: Network, spec: ModelSpec, t1, channels, t2):
+    view = build_model(spec, t1, channels, t2)
+    view.set_params(net.named_params())
+    return view
+
+
+class TestPredictOnlyNetwork:
+    """A network without gradient buffers keeps no backward cache and
+    computes what the rng-built network computes, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    @pytest.mark.parametrize("kind", ("fcnn", "lstm", "lrcn"))
+    def test_forward_bit_identical_and_keeps_no_cache(self, kind, dtype):
+        spec = ModelSpec(kind=kind, fcnn_hidden=(16, 8), lstm_hidden=6, lstm_layers=2,
+                         conv_filters=5, dense_size=7, dropout=0.3)
+        net = build_model(spec, 12, 3, 4, np.random.default_rng(3))
+        view = _predict_only_view(net, spec, 12, 3, 4)
+        x = np.random.default_rng(4).uniform(size=(9, 12, 3)).astype(dtype)
+        got, expected = view.forward(x), net.forward(x)
+        assert got.dtype == expected.dtype == dtype
+        assert np.array_equal(got, expected)
+        for layer in view.layers:
+            for cache in ("_cache", "_cols", "_x", "_z"):
+                assert getattr(layer, cache, None) is None, (layer.name, cache)
+
+    @pytest.mark.parametrize("kind", ("fcnn", "lstm", "lrcn"))
+    def test_val_loss_on_the_view_equals_the_training_network(self, kind):
+        from loadcast.models import _dataset_loss
+        _, ds = small_dataset(200, seed=2)
+        spec = ModelSpec(kind=kind, fcnn_hidden=(8,), lstm_hidden=4, lstm_layers=1,
+                         conv_filters=3, dense_size=5)
+        channels = len(ds.matrix.channel_names)
+        net = build_model(spec, ds.cfg.t1, channels, ds.cfg.t2, np.random.default_rng(0))
+        view = _predict_only_view(net, spec, ds.cfg.t1, channels, ds.cfg.t2)
+        rng = np.random.default_rng(1)
+        x = rng.uniform(size=ds.matrix.values.shape).astype(np.float32)
+        y = rng.uniform(size=len(x)).astype(np.float32)
+        rows = ds.rows("val")
+        assert _dataset_loss(view, x, y, rows, ds.cfg.t1, 16) == \
+            _dataset_loss(net, x, y, rows, ds.cfg.t1, 16)
+
+    def test_long_look_back_forecast_holds_no_gate_cache(self):
+        t1, hidden, n, channels = 168, 64, 200, 3
+        spec = ModelSpec(kind="lstm", lstm_hidden=hidden, lstm_layers=1, dense_size=8)
+        net = build_model(spec, t1, channels, 4, np.random.default_rng(0))
+        norm = Normalizer(np.zeros(channels), np.ones(channels), 0.0, 1.0)
+        model = TrainedModel(spec, FeatureSelector(), WindowConfig(t1, 4), norm,
+                             ("load", "a", "b"), 0, net.get_params())
+        inputs = np.random.default_rng(1).uniform(size=(n, t1, channels))
+        tracemalloc.start()
+        try:
+            predict_batch(model, inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # x W over all steps is one (n, steps, 4H) array, 69 MB here; a forward
+        # that kept every step's gates would hold a second one beside it
+        step_gates = n * t1 * 4 * hidden * 8
+        assert peak < 2 * step_gates
 
 
 class TestTraining:

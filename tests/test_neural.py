@@ -5,6 +5,7 @@ from loadcast.errors import (
     InvalidRate,
     KernelTooLarge,
     NonFiniteValue,
+    PredictOnly,
     ShapeMismatch,
 )
 from loadcast.neural import (
@@ -320,6 +321,24 @@ class TestFiniteChecks:
         layer.forward(rng_for(1).normal(size=(1, 2, 2)))
         with pytest.raises(NonFiniteValue):
             layer.backward(np.full((1, 2, 2), np.nan))
+
+
+class TestPredictOnly:
+    """A layer without gradient buffers keeps no cache, so backward refuses."""
+
+    @pytest.mark.parametrize("build,x_shape", [
+        (lambda rng=None: Dense(4, 3, "relu", rng), (5, 4)),
+        (lambda rng=None: Conv1D(2, 3, 2, rng), (2, 5, 2)),
+        (lambda rng=None: LSTM(2, 3, rng), (2, 4, 2)),
+    ], ids=["dense", "conv1d", "lstm"])
+    def test_backward_without_gradient_buffers_raises(self, build, x_shape):
+        trained, layer = build(rng_for(7)), build()
+        layer.params = trained.params
+        x = rng_for(8).normal(size=x_shape)
+        out = layer.forward(x)
+        assert np.array_equal(out, trained.forward(x))
+        with pytest.raises(PredictOnly, match=f"layer {layer.name}: no gradient buffers"):
+            layer.backward(np.ones_like(out))
 
 
 class TestNetwork:
